@@ -21,9 +21,8 @@ from .market import (MarketSnapshot, evaluate_market, expenditure_shares,
                      intended_wants, net_demand, production_quantity, profits,
                      traded_quantity, utility)
 from .dynamics import (MarketEngine, RunRecord, SimConfig, Simulation,
-                       affected_sets, apply_price_cut, find_loser,
-                       incremental_evaluate, init_prices, load_checkpoint,
-                       run, save_checkpoint)
+                       affected_sets, find_loser, load_checkpoint, run,
+                       save_checkpoint)
 from .analysis import (AvalancheEvent, AvalancheExponents,
                        BinnedDistribution, GammaFit, JumpStats, PowerLawFit,
                        ThresholdScan, ThresholdScanEntry, activity_signal,

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import optimize, special, stats
 
 from .errors import FitDomainError, StatisticsWarning
 
@@ -52,6 +51,8 @@ def fit_decay_rate(series, smooth_window=1):
     log-slope unchanged), requires a single sign afterwards, then fits
     log|series| against time.  Returns k > 0 for decaying input.
     """
+    from scipy import stats
+
     s = np.asarray(series, dtype=np.float64)
     if smooth_window > 1:
         if smooth_window > s.size:
@@ -196,6 +197,8 @@ class PowerLawFit:
 def fit_power_law(dist, fit_range=(10.0, 1000.0), min_points=3):
     """Fit log density against log x over bins whose representative x lies
     in fit_range.  The exponent is reported positive for decaying data."""
+    from scipy import stats
+
     lo, hi = fit_range
     sel = (dist.x >= lo) & (dist.x <= hi) & (dist.density > 0.0)
     n = int(np.count_nonzero(sel))
@@ -218,6 +221,8 @@ def fit_power_law_mle(values, x_min=1):
     Cross-check for the least-squares fit; reference-exponent comparisons
     use the least-squares path.
     """
+    from scipy import optimize, special
+
     v = np.asarray(values, dtype=np.float64)
     v = v[v >= x_min]
     if v.size < 10:
@@ -286,9 +291,10 @@ def avalanche_exponents(events, size_range=DEFAULT_SIZE_RANGE,
 
 
 def track_activity(sim, thresholds):
-    """Step a fresh Simulation to completion, counting agents below each
-    rescaled-profit threshold at every step (pre-cut state, matching the
-    activity column of RunRecord).  Returns an (steps, n_thresholds) array.
+    """Step a Simulation from its current step to completion, counting
+    agents below each rescaled-profit threshold at every step (pre-cut
+    state, matching the activity column of RunRecord).  Returns a
+    (steps, n_thresholds) array.
     """
     thr = np.atleast_1d(np.asarray(thresholds, dtype=np.float64))
     cfg = sim.config
@@ -334,11 +340,12 @@ def threshold_scan(net, wts, config, f0_grid=None, engine="incremental",
                    size_range=DEFAULT_SIZE_RANGE, min_events=1000):
     """Locate the critical activity threshold.
 
-    Runs once while tracking activity on a grid of thresholds, then picks
-    the threshold whose avalanche-size distribution is closest to a pure
-    power law (highest R^2 of the least-squares fit) among thresholds with
-    enough events and a quiescent fraction.  Below the critical point the
-    distribution bends steep and short; above it, quiescence disappears.
+    Runs once, tracking activity on a grid of thresholds after the
+    transient, then picks the threshold whose avalanche-size distribution
+    is closest to a pure power law (highest R^2 of the least-squares fit)
+    among thresholds with enough events and a quiescent fraction.  Below
+    the critical point the distribution bends steep and short; above it,
+    quiescence disappears.
     """
     from .dynamics import Simulation
 
@@ -346,7 +353,9 @@ def threshold_scan(net, wts, config, f0_grid=None, engine="incremental",
         f0_grid = -0.5 * config.eta_max * np.asarray(THRESHOLD_GRID_UNITS)
     f0_grid = np.asarray(f0_grid, dtype=np.float64)
     sim = Simulation(net, wts, config, engine=engine)
-    counts = track_activity(sim, f0_grid)[config.transient_steps:]
+    while sim.t < config.transient_steps:
+        sim.step()
+    counts = track_activity(sim, f0_grid)
     entries = []
     for k, f0 in enumerate(f0_grid):
         y = counts[:, k]
@@ -488,6 +497,8 @@ class GammaFit:
 
 def gamma_st(events, min_events=1000, min_count=3, t_range=None):
     """Exponent of <S> ~ T^gamma from the per-duration mean sizes."""
+    from scipy import stats
+
     if len(events) < min_events:
         raise FitDomainError(f"need at least {min_events} events, got {len(events)}")
     S = np.asarray([e.size for e in events], dtype=np.float64)

@@ -232,7 +232,8 @@ def _run_one(ecfg, seed, record_path, checkpoint_path):
     record = sim.run(activity_f0=f0,
                      checkpoint_path=checkpoint_path,
                      checkpoint_every=ecfg.checkpoint_every)
-    record.save_text(record_path, extra_meta={"config_hash": ecfg.digest()})
+    record.config_hash = ecfg.digest()
+    record.save_text(record_path)
     post_min = record.post(record.min_profit)
     return {
         "seed": seed,
@@ -268,6 +269,14 @@ def cmd_run(ecfg, args):
     return 0
 
 
+def _provenance(ecfg, args, record):
+    """Config hash and seed the outputs carry.  A recorded run analyzed
+    without --config carries the ones its record header names."""
+    if args.config:
+        return ecfg.digest(), ecfg.sim.seed
+    return record.config_hash, record.config.seed if record.config else None
+
+
 def _obtain_record(ecfg, args, activity_f0=None):
     if args.run:
         return dynamics.RunRecord.load_text(args.run)
@@ -283,13 +292,14 @@ def cmd_walk_stats(ecfg, args):
     is_lattice = record.kind in ("ring",) + topology.LATTICE_KINDS
     stats = analysis.loser_jump_stats(
         record, mode=ecfg.distance_mode, metric=ecfg.distance_metric)
-    meta = f"config_hash {ecfg.digest()} seed {ecfg.sim.seed}"
+    config_hash, seed = _provenance(ecfg, args, record)
+    meta = f"config_hash {config_hash} seed {seed}"
     _write_csv(out / "jump_cumulative.csv", ["xi", "F"],
                (stats.cumulative_x, stats.cumulative_f), meta)
     fitted = is_lattice and stats.pi1 is not None
     result = {
-        "config_hash": ecfg.digest(),
-        "seed": ecfg.sim.seed,
+        "config_hash": config_hash,
+        "seed": seed,
         "kind": record.kind,
         "n_jumps": stats.n_jumps,
         "mode": stats.mode,
@@ -321,7 +331,9 @@ def cmd_avalanche_stats(ecfg, args):
             raise ConfigError(f"{args.run} carries no activity column")
         f0, f0_mode = record.activity_f0, "recorded"
         y = record.post(record.activity)
+        config_hash, seed = _provenance(ecfg, args, record)
     else:
+        config_hash, seed = ecfg.digest(), ecfg.sim.seed
         net, wts, sim_cfg = build_experiment(ecfg, ecfg.sim.seed)
         if ecfg.f0 is not None:
             f0, f0_mode = float(ecfg.f0), "absolute"
@@ -352,8 +364,8 @@ def cmd_avalanche_stats(ecfg, args):
         warnings.warn(f"only {len(events)} avalanche events (< {MIN_EVENTS})",
                       StatisticsWarning, stacklevel=2)
     result = {
-        "config_hash": ecfg.digest(),
-        "seed": ecfg.sim.seed,
+        "config_hash": config_hash,
+        "seed": seed,
         "f0": f0,
         "f0_mode": f0_mode,
         "n_events": len(events),
@@ -367,7 +379,7 @@ def cmd_avalanche_stats(ecfg, args):
         fit_range_t = (ecfg.fit_t_min, ecfg.fit_t_max)
         dist_s = analysis.log_bin(sizes)
         dist_t = analysis.log_bin(durations)
-        meta = f"config_hash {ecfg.digest()} seed {ecfg.sim.seed}"
+        meta = f"config_hash {config_hash} seed {seed}"
         _write_csv(out / "avalanche_sizes.csv", ["x", "density"],
                    (dist_s.x, dist_s.density), meta)
         _write_csv(out / "avalanche_durations.csv", ["x", "density"],
@@ -414,9 +426,10 @@ def cmd_decay_check(ecfg, args):
         warnings.warn("run too short for a decade of decay; the fit will be "
                       "noisy", StatisticsWarning, stacklevel=2)
     fitted = analysis.fit_decay_rate(record.mean_price)
+    config_hash, seed = _provenance(ecfg, args, record)
     result = {
-        "config_hash": ecfg.digest(),
-        "seed": ecfg.sim.seed,
+        "config_hash": config_hash,
+        "seed": seed,
         "n_agents": n,
         "eta_max": eta_max,
         "fitted_k": fitted,
@@ -475,7 +488,8 @@ def main(argv=None):
         if args.config:
             ecfg = load_config(args.config)
         elif args.run:
-            # analysis on a recorded run needs no topology section
+            # analysis on a recorded run needs no topology section; its
+            # outputs take their provenance from the record (_provenance)
             ecfg = ExperimentConfig(kind="ring", n=3)
         else:
             raise ConfigError("--config or --run is required")

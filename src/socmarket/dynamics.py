@@ -9,6 +9,8 @@ step, repeat.  Two interchangeable engines drive the evaluation:
                  neighborhood (production and wants of the changed agent
                  and its customers; demands of that set's suppliers; trades
                  over the union; profits over the union and its customers).
+                 The neighborhood depends on the network alone, so the
+                 engine precomputes it once per agent from affected_sets.
 
 Both engines run the same scalar arithmetic in the same order, so their
 loser sequences agree exactly, not just within tolerance.
@@ -19,12 +21,12 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ConsistencyError, MarketDomainError
-from .market import TWO_THIRDS, evaluate_market, expenditure_shares, MarketSnapshot
+from .market import TWO_THIRDS, evaluate_market
 from .minheap import IndexedMinHeap
 
 _SQRT = math.sqrt
@@ -58,12 +60,6 @@ class SimConfig:
         return self
 
 
-def init_prices(config, n_agents, rng):
-    """Independent uniform prices on [price_floor, price_floor + 1)."""
-    config.validate()
-    return config.price_floor + np.random.default_rng(rng).random(n_agents)
-
-
 def find_loser(profits):
     """Index of the minimum profit; ties broken by the lowest index."""
     profits = np.asarray(profits)
@@ -72,50 +68,32 @@ def find_loser(profits):
     return int(np.argmin(profits))
 
 
-def apply_price_cut(prices, loser, eta_max, rng):
-    """Cut the loser's price by a uniform random factor eta in [0, eta_max).
-
-    Returns (new price vector, eta drawn).
-    """
-    p = np.asarray(prices, dtype=np.float64).copy()
-    eta = eta_max * float(np.random.default_rng(rng).random())
-    p[loser] = p[loser] * (1.0 - eta)
-    return p, eta
-
-
 # ----------------------------------------------------------------------
 # affected-set bookkeeping
+
+class AffectedSets(NamedTuple):
+    """Agents to recompute, phase by phase, after one price change."""
+    production: tuple
+    demand: tuple
+    traded: tuple
+    profit: tuple
+
 
 def affected_sets(net, changed):
     """Agents whose quantities can change after one price change.
 
-    Returns a dict with keys production, demand, traded, profit.  The
-    dependency chain: production and wants change for the changed agent
-    and its customers (A); demand changes for suppliers of A (B); traded
-    for C = A | B; profit for C and customers of C.
+    The dependency chain: production and wants change for the changed
+    agent and its customers (A); demand changes for suppliers of A (B);
+    traded for C = A | B; profit for C and customers of C.  Each phase
+    lists an agent once.
     """
-    prod = [changed] + net.customers[changed]
-    seen = set(prod)
-    dem = []
-    dem_seen = set()
-    for i in prod:
-        for j in net.suppliers[i]:
-            if j not in dem_seen:
-                dem_seen.add(j)
-                dem.append(j)
-    traded = list(prod)
-    for j in dem:
-        if j not in seen:
-            seen.add(j)
-            traded.append(j)
-    profit = list(traded)
-    pseen = set(traded)
-    for j in traded:
-        for i in net.customers[j]:
-            if i not in pseen:
-                pseen.add(i)
-                profit.append(i)
-    return {"production": prod, "demand": dem, "traded": traded, "profit": profit}
+    sup, cust = net.suppliers, net.customers
+    # dict.fromkeys drops repeats and keeps first-seen order
+    prod = (changed, *cust[changed])
+    dem = tuple(dict.fromkeys(j for i in prod for j in sup[i]))
+    traded = tuple(dict.fromkeys(prod + dem))
+    profit = tuple(dict.fromkeys(traded + tuple(i for j in traded for i in cust[j])))
+    return AffectedSets(prod, dem, traded, profit)
 
 
 # ----------------------------------------------------------------------
@@ -141,8 +119,6 @@ class MarketEngine:
         # adjacency as plain lists for the scalar kernels
         self._sup_ptr = net.sup_ptr.tolist()
         self._sup_idx = net.sup_idx.tolist()
-        self._sup_rows = net.suppliers
-        self._cust = net.customers
         self._in_edges = net.in_edges
         self._w = wts.weights_flat.tolist()
         # state
@@ -154,10 +130,12 @@ class MarketEngine:
         self.qW = [0.0] * n
         self.qt = [0.0] * n
         self.profit = np.zeros(n)
-        self._mark = bytearray(n)
         self.touched_last = n  # profit recomputations in the last update
         self.recompute_all()
-        self._heap = IndexedMinHeap(self.profit) if incremental else None
+        self._heap = None
+        if incremental:
+            self._affected = [affected_sets(net, c) for c in range(n)]
+            self._heap = IndexedMinHeap(self.profit)
 
     # -- scalar kernels ------------------------------------------------
 
@@ -211,46 +189,20 @@ class MarketEngine:
 
     def _recompute_after(self, c):
         """Update all quantities affected by a change of agent c's price.
-        Returns the list of agents whose profit was recomputed."""
-        mark = self._mark
+        Returns the agents whose profit was recomputed."""
+        production, demand, traded, profit = self._affected[c]
         qp, qW, qt = self.qp, self.qW, self.qt
-        cust, sup_rows = self._cust, self._sup_rows
-
-        prod_set = [c] + cust[c]
-        for i in prod_set:
+        for i in production:
             self._prod_wants(i)
-
-        dem_set = []
-        for i in prod_set:
-            for j in sup_rows[i]:
-                if not mark[j]:
-                    mark[j] = 1
-                    dem_set.append(j)
-        for j in dem_set:
+        for j in demand:
             self._demand(j)
-
-        # traded set = prod_set | dem_set (mark currently holds dem_set)
-        traded_set = list(dem_set)
-        for i in prod_set:
-            if not mark[i]:
-                mark[i] = 1
-                traded_set.append(i)
-        for j in traded_set:
+        for j in traded:
             a, b = qp[j], qW[j]
             qt[j] = a if a < b else b
-
-        profit_set = list(traded_set)
-        for j in traded_set:
-            for i in cust[j]:
-                if not mark[i]:
-                    mark[i] = 1
-                    profit_set.append(i)
-        for i in profit_set:
+        for i in profit:
             self._profit(i)
-        for i in profit_set:
-            mark[i] = 0
-        self.touched_last = len(profit_set)
-        return profit_set
+        self.touched_last = len(profit)
+        return profit
 
     def apply_price_change(self, agent, new_price):
         if not new_price > 0.0:
@@ -282,7 +234,7 @@ class MarketEngine:
     def min_index(self):
         if self.incremental:
             return self._heap.min_index()
-        return int(np.argmin(self.profit))
+        return find_loser(self.profit)
 
     # -- validation ------------------------------------------------------
 
@@ -301,58 +253,6 @@ class MarketEngine:
                 raise ConsistencyError(
                     f"incremental state diverged on {name}: max err {err:.3e}")
 
-    def to_snapshot(self):
-        p = np.asarray(self.p)
-        wants = np.asarray(self.wants)
-        demand = np.asarray(self.qW)
-        return MarketSnapshot(
-            net=self.net, prices=p, production=np.asarray(self.qp),
-            wants=wants, demand=demand, traded=np.asarray(self.qt),
-            shares=expenditure_shares(wants, demand, self.net),
-            profit=self.profit.copy())
-
-    @classmethod
-    def from_snapshot(cls, snap, wts, incremental=True):
-        eng = cls.__new__(cls)
-        net = snap.net
-        eng.net, eng.wts, eng.n = net, wts, net.n_agents
-        eng.incremental = incremental
-        eng._sup_ptr = net.sup_ptr.tolist()
-        eng._sup_idx = net.sup_idx.tolist()
-        eng._sup_rows = net.suppliers
-        eng._cust = net.customers
-        eng._in_edges = net.in_edges
-        eng._w = wts.weights_flat.tolist()
-        eng.p = snap.prices.tolist()
-        eng.psum = math.fsum(eng.p)
-        eng.qp = snap.production.tolist()
-        eng.wants = snap.wants.tolist()
-        eng.qW = snap.demand.tolist()
-        eng.qt = snap.traded.tolist()
-        eng.profit = snap.profit.copy()
-        eng._mark = bytearray(eng.n)
-        eng.touched_last = 0
-        eng._heap = IndexedMinHeap(eng.profit) if incremental else None
-        return eng
-
-
-def incremental_evaluate(prev, changed, prices, net, wts):
-    """Re-evaluate after exactly one price change, reusing the previous
-    snapshot for everything outside the affected neighborhood.
-
-    Raises ConsistencyError if `prices` differs from the snapshot's price
-    vector anywhere other than `changed`.
-    """
-    p = np.asarray(prices, dtype=np.float64)
-    diff = np.flatnonzero(p != prev.prices)
-    if not np.array_equal(diff, [changed]) and diff.size != 0:
-        raise ConsistencyError(
-            f"snapshot is stale: prices differ at {diff.tolist()}, "
-            f"expected only {changed}")
-    eng = MarketEngine.from_snapshot(prev, wts, incremental=True)
-    eng.apply_price_change(changed, float(p[changed]))
-    return eng.to_snapshot()
-
 
 # ----------------------------------------------------------------------
 # run records
@@ -362,7 +262,9 @@ class RunRecord:
     """Per-step time series of one run.
 
     Arrays cover steps [start_step, start_step + len).  Statistics should
-    use the post-transient window (helpers below).
+    use the post-transient window (helpers below).  config_hash names the
+    experiment config the run came from, when known; it round-trips
+    through the text format.
     """
     n_agents: int
     extents: tuple
@@ -376,8 +278,8 @@ class RunRecord:
     config: Optional[SimConfig] = None
     activity: Optional[np.ndarray] = None
     activity_f0: Optional[float] = None
-    profits_stream: Optional[np.ndarray] = None
     start_step: int = 0
+    config_hash: Optional[str] = None
 
     @property
     def total_steps(self):
@@ -408,13 +310,12 @@ class RunRecord:
             renorm_flags=np.concatenate([self.renorm_flags, other.renorm_flags]),
             embedding=self.embedding, config=self.config,
             activity=join(self.activity, other.activity),
-            activity_f0=self.activity_f0,
-            profits_stream=join(self.profits_stream, other.profits_stream),
-            start_step=self.start_step)
+            activity_f0=self.activity_f0, start_step=self.start_step,
+            config_hash=self.config_hash)
 
     # -- columnar text format -------------------------------------------
 
-    def save_text(self, path, extra_meta=None):
+    def save_text(self, path):
         dim = 1 if self.embedding.ndim == 1 else self.embedding.shape[1]
         pos_cols = ["pos_x"] if dim == 1 else ["pos_x", "pos_y"]
         cols = ["t", "loser_idx"] + pos_cols + ["min_profit", "mean_price", "renorm_flag"]
@@ -436,8 +337,8 @@ class RunRecord:
                 c = self.config
                 fh.write(f"# config seed {c.seed} eta_max {c.eta_max!r} "
                          f"price_floor {c.price_floor!r} total_steps {c.total_steps}\n")
-            for key, value in (extra_meta or {}).items():
-                fh.write(f"# {key} {value}\n")
+            if self.config_hash is not None:
+                fh.write(f"# config_hash {self.config_hash}\n")
             fh.write(" ".join(cols) + "\n")
             chunk = []
             act = self.activity
@@ -505,7 +406,8 @@ class RunRecord:
             mean_price=data[:, col["mean_price"]],
             renorm_flags=data[:, col["renorm_flag"]].astype(bool),
             embedding=embedding, activity=activity, activity_f0=f0,
-            start_step=int(meta.get("start_step", ["0"])[0]))
+            start_step=int(meta.get("start_step", ["0"])[0]),
+            config_hash=meta.get("config_hash", [None])[0])
 
 
 # ----------------------------------------------------------------------
@@ -575,7 +477,9 @@ class Simulation:
     def engine(self):
         return self._eng
 
-    def _step_impl(self, f0, stream_slot=None):
+    def step(self, activity_f0=None):
+        """Advance one trading day; returns (t, loser, min_profit,
+        mean_price, activity, eta, renormalized)."""
         eng = self._eng
         renormed = False
         mp = eng.psum / eng.n
@@ -586,21 +490,15 @@ class Simulation:
         profit = eng.profit
         loser = eng.min_index()
         smin = profit[loser]
-        act = -1 if f0 is None else int(np.count_nonzero(profit < f0 * mp))
-        if stream_slot is not None:
-            stream_slot[:] = profit
+        act = -1 if activity_f0 is None else int(
+            np.count_nonzero(profit < activity_f0 * mp))
         eta = self.config.eta_max * self._rng.random()
         eng.apply_price_change(loser, eng.p[loser] * (1.0 - eta))
         t = self._t
         self._t = t + 1
         return t, loser, smin, mp, act, eta, renormed
 
-    def step(self, activity_f0=None):
-        """Advance one trading day; returns (t, loser, min_profit,
-        mean_price, activity, eta, renormalized)."""
-        return self._step_impl(activity_f0)
-
-    def run(self, activity_f0=None, collect_profits=False, audit_interval=0,
+    def run(self, activity_f0=None, audit_interval=0,
             checkpoint_path=None, checkpoint_every=0):
         """Run through config.total_steps and return the RunRecord."""
         cfg = self.config
@@ -614,14 +512,10 @@ class Simulation:
         mean_price = np.empty(count)
         renorm = np.zeros(count, dtype=bool)
         activity = None if activity_f0 is None else np.empty(count, dtype=np.int32)
-        stream = None
-        if collect_profits:
-            stream = np.empty((count, self.net.n_agents))
         eng = self._eng
-        step = self._step_impl
+        step = self.step
         for k in range(count):
-            slot = None if stream is None else stream[k]
-            t, loser, smin, mp, act, _, renormed = step(activity_f0, slot)
+            t, loser, smin, mp, act, _, renormed = step(activity_f0)
             loser_idx[k] = loser
             min_profit[k] = smin
             mean_price[k] = mp
@@ -640,7 +534,7 @@ class Simulation:
             transient_steps=cfg.transient_steps, loser_index=loser_idx,
             min_profit=min_profit, mean_price=mean_price, renorm_flags=renorm,
             embedding=self.net.embedding, config=cfg, activity=activity,
-            activity_f0=activity_f0, profits_stream=stream, start_step=start)
+            activity_f0=activity_f0, start_step=start)
 
     @classmethod
     def resume(cls, net, wts, config, checkpoint_path, engine="incremental"):

@@ -26,12 +26,6 @@ class IndexedMinHeap:
             raise IndexError("empty heap")
         return self._heap[0][1]
 
-    def min_key(self):
-        return self._heap[0][0]
-
-    def key_of(self, i):
-        return self._heap[self._pos[i]][0]
-
     def update(self, i, value):
         """Change the key of index i and restore the heap property."""
         heap, pos = self._heap, self._pos

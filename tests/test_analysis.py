@@ -301,6 +301,9 @@ class TestThresholdScan:
         assert [e.n_events for e in a.entries] == [e.n_events for e in b.entries]
         assert a.activity.shape == (3500, 8)
         assert np.array_equal(a.activity, b.activity)
+        grid = [e.f0 for e in a.entries]
+        full = sm.track_activity(sm.Simulation(net, wts, cfg), grid)
+        assert np.array_equal(a.activity, full[cfg.transient_steps:])
 
     def test_quantile_threshold_is_plausible(self):
         net = sm.build_ring(20)

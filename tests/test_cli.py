@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,18 @@ from socmarket import cli
 def write_config(path, text):
     path.write_text(text)
     return str(path)
+
+
+def record_provenance(path):
+    """(config hash, seed) named by a run record's header."""
+    meta = {}
+    with open(path) as fh:
+        for line in fh:
+            if not line.startswith("#"):
+                break
+            key, *values = line[1:].split()
+            meta[key] = values
+    return meta["config_hash"][0], int(meta["config"][1])
 
 
 RING_CFG = """
@@ -213,8 +229,18 @@ dir = {out}
         digest = hashlib.sha256(record.read_bytes()).hexdigest()
         assert cli.main(["walk-stats", "--run", str(record),
                          "--out", str(tmp_path / "w")]) == 0
+        assert cli.main(["decay-check", "--run", str(record),
+                         "--out", str(tmp_path / "w")]) == 0
         # analysis must not mutate the record
         assert hashlib.sha256(record.read_bytes()).hexdigest() == digest
+        # without --config the outputs carry the record's provenance
+        config_hash, seed = record_provenance(record)
+        assert seed == 3
+        for name in ("jump_fits.json", "decay_check.json"):
+            out_json = json.loads((tmp_path / "w" / name).read_text())
+            assert (out_json["config_hash"], out_json["seed"]) == (config_hash, seed)
+        csv = (tmp_path / "w" / "jump_cumulative.csv").read_text().splitlines()
+        assert csv[0] == f"# config_hash {config_hash} seed {seed}"
 
 
 class TestAvalancheStats:
@@ -238,6 +264,11 @@ class TestAvalancheStats:
                          "--out", str(tmp_path / "av")]) == 0
         fits = json.loads((tmp_path / "av" / "avalanche_fits.json").read_text())
         assert fits["f0_mode"] == "recorded"
+        config_hash, seed = record_provenance(out / "run_seed3.txt")
+        assert seed == 3
+        assert (fits["config_hash"], fits["seed"]) == (config_hash, seed)
+        csv = (tmp_path / "av" / "avalanche_sizes.csv").read_text().splitlines()
+        assert csv[0] == f"# config_hash {config_hash} seed {seed}"
 
     def test_scan_path_when_no_threshold_given(self, tmp_path):
         out = tmp_path / "out"
@@ -289,6 +320,18 @@ dir = {out}
         assert res["predicted_k"] == pytest.approx(
             sm.predicted_decay_rate(50, 0.01))
         assert 0.5 < res["ratio"] < 2.0
+
+
+class TestImports:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # `socmarket run` needs no fits, so importing the CLI must not pay
+        # for scipy; only the fitting functions import it
+        src = str(Path(sm.__file__).resolve().parents[1])
+        code = "import sys, socmarket.cli; print('scipy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestDeterministicPipeline:

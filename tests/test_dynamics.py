@@ -15,6 +15,15 @@ def small_setup(seed=3, n=12):
     return net, wts, cfg
 
 
+def profit_rows(sim):
+    """Profit vector each step of a fresh Simulation sees before its cut."""
+    rows = []
+    while sim.t < sim.config.total_steps:
+        rows.append(sim.engine.profit.copy())
+        sim.step()
+    return np.array(rows)
+
+
 class TestSimConfig:
     def test_defaults_follow_protocol(self):
         cfg = sm.SimConfig()
@@ -39,15 +48,18 @@ class TestSimConfig:
 
 class TestInitPrices:
     def test_interval(self):
+        net = sm.build_ring(1000)
+        wts = sm.assign_weights_fixed(net, 0.5)
         cfg = sm.SimConfig(total_steps=10, transient_steps=0, price_floor=10.0)
-        p = sm.init_prices(cfg, 1000, np.random.default_rng(0))
+        p = np.asarray(sm.Simulation(net, wts, cfg).engine.p)
         assert np.all(p >= 10.0) and np.all(p < 11.0)
 
     def test_deterministic(self):
-        cfg = sm.SimConfig(total_steps=10, transient_steps=0)
-        a = sm.init_prices(cfg, 50, np.random.default_rng(5))
-        b = sm.init_prices(cfg, 50, np.random.default_rng(5))
-        assert np.array_equal(a, b)
+        net, wts, _ = small_setup()
+        cfg = sm.SimConfig(total_steps=10, transient_steps=0, seed=5)
+        a = sm.Simulation(net, wts, cfg).engine.p
+        b = sm.Simulation(net, wts, cfg).engine.p
+        assert a == b
 
 
 class TestFindLoser:
@@ -68,17 +80,22 @@ class TestFindLoser:
 
 class TestApplyPriceCut:
     def test_multiplicative_cut(self):
-        p = np.array([10.0, 12.0, 9.0])
-        new, eta = sm.apply_price_cut(p, 0, 0.01, np.random.default_rng(1))
-        assert 0.0 <= eta < 0.01
-        assert new[0] == 10.0 * (1.0 - eta)
-        assert new[1] == 12.0 and new[2] == 9.0
-        assert np.all(new > 0)
+        net, wts, cfg = small_setup()
+        sim = sm.Simulation(net, wts, cfg)
+        before = list(sim.engine.p)
+        _, loser, _, _, _, eta, _ = sim.step()
+        after = sim.engine.p
+        assert 0.0 <= eta < cfg.eta_max
+        assert after[loser] == before[loser] * (1.0 - eta)
+        assert after[:loser] == before[:loser]
+        assert after[loser + 1:] == before[loser + 1:]
+        assert all(v > 0 for v in after)
 
     def test_mean_eta_is_half_max(self):
-        rng = np.random.default_rng(0)
-        p = np.array([10.0])
-        etas = [sm.apply_price_cut(p, 0, 0.01, rng)[1] for _ in range(20000)]
+        net, wts, _ = small_setup()
+        cfg = sm.SimConfig(total_steps=20_000, transient_steps=0, seed=0)
+        sim = sm.Simulation(net, wts, cfg)
+        etas = [sim.step()[5] for _ in range(20_000)]
         assert np.mean(etas) == pytest.approx(0.005, rel=0.02)
 
 
@@ -105,13 +122,13 @@ class TestAffectedSets:
     def test_ring_profit_set_is_seven_wide(self):
         net = sm.build_ring(100)
         sets = sm.affected_sets(net, 50)
-        assert sorted(sets["profit"]) == list(range(47, 54))
-        assert len(sets["profit"]) == 7
+        assert sorted(sets.profit) == list(range(47, 54))
+        assert len(sets.profit) == 7
 
     def test_small_ring_saturates(self):
         net = sm.build_ring(5)
         sets = sm.affected_sets(net, 0)
-        assert sorted(sets["profit"]) == [0, 1, 2, 3, 4]
+        assert sorted(sets.profit) == [0, 1, 2, 3, 4]
 
     def test_er_closure_structure(self, rng):
         net = sm.build_er_embedded(40, 0.08, rng)
@@ -121,10 +138,12 @@ class TestAffectedSets:
         dem = {j for i in prod for j in net.suppliers[i]}
         traded = prod | dem
         profit = traded | {i for j in traded for i in net.customers[j]}
-        assert set(sets["production"]) == prod
-        assert set(sets["demand"]) == dem
-        assert set(sets["traded"]) == traded
-        assert set(sets["profit"]) == profit
+        assert set(sets.production) == prod
+        assert set(sets.demand) == dem
+        assert set(sets.traded) == traded
+        assert set(sets.profit) == profit
+        for phase in sets:
+            assert len(set(phase)) == len(phase)
 
     def test_covers_all_actually_changed_profits(self, rng):
         # brute force: after one cut, profits outside the predicted set
@@ -137,7 +156,7 @@ class TestAffectedSets:
             p2[c] *= 0.99
             after = sm.evaluate_market(p2, net, wts)
             changed = np.flatnonzero(before.profit != after.profit)
-            assert set(changed) <= set(sm.affected_sets(net, c)["profit"])
+            assert set(changed) <= set(sm.affected_sets(net, c).profit)
 
 
 class TestIncrementalEvaluate:
@@ -146,37 +165,27 @@ class TestIncrementalEvaluate:
         wts = sm.assign_weights_fixed(net, 0.25)
         rng = np.random.default_rng(8)
         prices = 10.0 + rng.random(net.n_agents)
-        prev = sm.evaluate_market(prices, net, wts)
+        eng = sm.MarketEngine(net, wts, prices)
         c = 517
-        p2 = prices.copy()
-        p2[c] *= 0.99
-        inc = sm.incremental_evaluate(prev, c, p2, net, wts)
-        full = sm.evaluate_market(p2, net, wts)
-        for name in ("production", "wants", "demand", "traded", "shares", "profit"):
-            a, b = getattr(inc, name), getattr(full, name)
-            scale = max(1.0, np.max(np.abs(b)))
-            assert np.max(np.abs(a - b)) <= 1e-10 * scale, name
-
-    def test_stale_snapshot_detected(self):
-        net, wts, cfg = small_setup()
-        prices = sm.init_prices(cfg, net.n_agents, np.random.default_rng(0))
-        prev = sm.evaluate_market(prices, net, wts)
-        p2 = prices.copy()
-        p2[0] *= 0.99
-        p2[5] *= 0.98  # second change makes prev stale
-        with pytest.raises(ConsistencyError):
-            sm.incremental_evaluate(prev, 0, p2, net, wts)
+        eng.apply_price_change(c, prices[c] * 0.99)
+        assert eng.touched_last == len(sm.affected_sets(net, c).profit)
+        eng.audit(rtol=1e-10)
 
     def test_random_topologies(self, rng):
         for _ in range(10):
             net, wts, prices = random_instance(rng)
-            prev = sm.evaluate_market(prices, net, wts)
+            eng = sm.MarketEngine(net, wts, prices)
             c = int(rng.integers(net.n_agents))
-            p2 = prices.copy()
-            p2[c] *= 1.0 - 0.01 * rng.random()
-            inc = sm.incremental_evaluate(prev, c, p2, net, wts)
-            full = sm.evaluate_market(p2, net, wts)
-            assert np.max(np.abs(inc.profit - full.profit)) <= 1e-10
+            eng.apply_price_change(c, prices[c] * (1.0 - 0.01 * rng.random()))
+            eng.audit(rtol=1e-10)
+
+    def test_stale_state_detected(self):
+        net, wts, cfg = small_setup()
+        eng = sm.Simulation(net, wts, cfg).engine
+        eng.apply_price_change(0, eng.p[0] * 0.99)
+        eng.p[5] *= 0.98  # a second change the engine was not told about
+        with pytest.raises(ConsistencyError):
+            eng.audit(rtol=1e-10)
 
 
 class TestStep:
@@ -260,8 +269,9 @@ class TestRun:
     def test_activity_column_matches_offline_signal(self):
         net, wts, cfg = small_setup()
         f0 = -0.004
-        rec = sm.run(net, wts, cfg, activity_f0=f0, collect_profits=True)
-        rescaled = sm.rescale_profits(rec.profits_stream, rec.mean_price)
+        rec = sm.run(net, wts, cfg, activity_f0=f0)
+        rows = profit_rows(sm.Simulation(net, wts, cfg))
+        rescaled = sm.rescale_profits(rows, rec.mean_price)
         offline = sm.activity_signal(rescaled, f0)
         assert np.array_equal(rec.activity, offline)
 
@@ -275,9 +285,10 @@ class TestRun:
 
     def test_min_profit_matches_loser_entry(self):
         net, wts, cfg = small_setup()
-        rec = sm.run(net, wts, cfg, collect_profits=True)
+        rec = sm.run(net, wts, cfg)
+        rows = profit_rows(sm.Simulation(net, wts, cfg))
         for k in range(len(rec.loser_index)):
-            row = rec.profits_stream[k]
+            row = rows[k]
             assert rec.min_profit[k] == row[rec.loser_index[k]]
             assert rec.loser_index[k] == np.argmin(row)
 
@@ -339,6 +350,7 @@ class TestRecordSerialization:
     def test_text_roundtrip(self, tmp_path):
         net, wts, cfg = small_setup()
         rec = sm.run(net, wts, cfg, activity_f0=-0.004)
+        rec.config_hash = "0123456789abcdef"
         path = tmp_path / "run.txt"
         rec.save_text(path)
         back = sm.RunRecord.load_text(path)
@@ -350,6 +362,7 @@ class TestRecordSerialization:
         assert back.kind == rec.kind
         assert back.extents == rec.extents
         assert back.transient_steps == rec.transient_steps
+        assert back.config_hash == rec.config_hash
 
     def test_2d_positions_roundtrip(self, tmp_path):
         net = sm.build_corner_lattice(4, "RT")
