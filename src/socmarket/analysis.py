@@ -292,20 +292,15 @@ def avalanche_exponents(events, size_range=DEFAULT_SIZE_RANGE,
 
 def track_activity(sim, thresholds):
     """Step a Simulation from its current step to completion, counting
-    agents below each rescaled-profit threshold at every step (pre-cut
-    state, matching the activity column of RunRecord).  Returns a
-    (steps, n_thresholds) array.
+    agents below each rescaled-profit threshold at every step with
+    Simulation.step (pre-cut, post-renormalization state, matching the
+    activity column of RunRecord).  Returns a (steps, n_thresholds) array.
     """
     thr = np.atleast_1d(np.asarray(thresholds, dtype=np.float64))
     cfg = sim.config
-    eng = sim.engine
     out = np.zeros((cfg.total_steps - sim.t, thr.size), dtype=np.int32)
-    k = 0
-    while sim.t < cfg.total_steps:
-        mp = eng.psum / eng.n
-        out[k] = np.count_nonzero(eng.profit[:, None] < thr[None, :] * mp, axis=0)
-        sim.step()
-        k += 1
+    for k in range(len(out)):
+        out[k] = sim.step(thr)[4]
     return out
 
 

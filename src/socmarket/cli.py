@@ -487,6 +487,8 @@ def main(argv=None):
     try:
         if args.config:
             ecfg = load_config(args.config)
+        elif args.command == "run":
+            raise ConfigError("run needs --config")
         elif args.run:
             # analysis on a recorded run needs no topology section; its
             # outputs take their provenance from the record (_provenance)

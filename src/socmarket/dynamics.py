@@ -19,6 +19,7 @@ loser sequences agree exactly, not just within tolerance.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -27,7 +28,6 @@ import numpy as np
 
 from .errors import ConsistencyError, MarketDomainError
 from .market import TWO_THIRDS, evaluate_market
-from .minheap import IndexedMinHeap
 
 _SQRT = math.sqrt
 
@@ -103,8 +103,8 @@ class MarketEngine:
     """Mutable market state with scalar update kernels.
 
     Hot state lives in plain Python lists (prices, productions, wants,
-    demands, trades); profits additionally live in a numpy array so the
-    activity count and the linear-scan argmin stay vectorized.
+    demands, trades); profits live in the numpy array `profit`, the one
+    place the step reads the loser (find_loser) and the activity from.
     """
 
     def __init__(self, net, wts, prices, incremental=True):
@@ -132,10 +132,8 @@ class MarketEngine:
         self.profit = np.zeros(n)
         self.touched_last = n  # profit recomputations in the last update
         self.recompute_all()
-        self._heap = None
         if incremental:
             self._affected = [affected_sets(net, c) for c in range(n)]
-            self._heap = IndexedMinHeap(self.profit)
 
     # -- scalar kernels ------------------------------------------------
 
@@ -188,8 +186,7 @@ class MarketEngine:
         self.touched_last = n
 
     def _recompute_after(self, c):
-        """Update all quantities affected by a change of agent c's price.
-        Returns the agents whose profit was recomputed."""
+        """Update all quantities affected by a change of agent c's price."""
         production, demand, traded, profit = self._affected[c]
         qp, qW, qt = self.qp, self.qW, self.qt
         for i in production:
@@ -202,7 +199,6 @@ class MarketEngine:
         for i in profit:
             self._profit(i)
         self.touched_last = len(profit)
-        return profit
 
     def apply_price_change(self, agent, new_price):
         if not new_price > 0.0:
@@ -211,11 +207,7 @@ class MarketEngine:
         self.p[agent] = new_price
         self.psum += new_price - old
         if self.incremental:
-            changed = self._recompute_after(agent)
-            heap = self._heap
-            profit = self.profit
-            for i in changed:
-                heap.update(i, profit[i])
+            self._recompute_after(agent)
         else:
             self.recompute_all()
 
@@ -227,14 +219,7 @@ class MarketEngine:
         self.p = [v / m for v in self.p]
         self.psum = math.fsum(self.p)
         self.recompute_all()
-        if self.incremental:
-            self._heap = IndexedMinHeap(self.profit)
         return m
-
-    def min_index(self):
-        if self.incremental:
-            return self._heap.min_index()
-        return find_loser(self.profit)
 
     # -- validation ------------------------------------------------------
 
@@ -417,17 +402,21 @@ _CKPT_MAGIC = b"SOCMKCP1"
 
 
 def save_checkpoint(path, t, prices, rng, psum, renorm_level):
+    """Write the checkpoint to path + ".tmp", then move it over path, so a
+    crash mid-write leaves the previous checkpoint intact."""
     state = rng.bit_generator.state
     if state["bit_generator"] != "PCG64":
         raise ValueError("checkpoints support the PCG64 generator only")
     p = np.asarray(prices, dtype="<f8")
-    with open(path, "wb") as fh:
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<QQdd", t, len(p), psum, renorm_level))
         fh.write(state["state"]["state"].to_bytes(16, "little"))
         fh.write(state["state"]["inc"].to_bytes(16, "little"))
         fh.write(struct.pack("<II", state["has_uint32"], state["uinteger"]))
         fh.write(p.tobytes())
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path):
@@ -439,7 +428,10 @@ def load_checkpoint(path):
         s = int.from_bytes(fh.read(16), "little")
         inc = int.from_bytes(fh.read(16), "little")
         has_u32, uint = struct.unpack("<II", fh.read(8))
-        prices = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
+        raw = fh.read(8 * n)
+    if len(raw) < 8 * n:
+        raise ValueError(f"{path}: checkpoint holds {len(raw) // 8} of {n} prices")
+    prices = np.frombuffer(raw, dtype="<f8").copy()
     rng = np.random.default_rng(0)
     rng.bit_generator.state = {
         "bit_generator": "PCG64",
@@ -479,7 +471,12 @@ class Simulation:
 
     def step(self, activity_f0=None):
         """Advance one trading day; returns (t, loser, min_profit,
-        mean_price, activity, eta, renormalized)."""
+        mean_price, activity, eta, renormalized).
+
+        activity counts the agents with profit strictly below activity_f0 *
+        mean_price after any renormalization: one count for a scalar
+        activity_f0, an array of counts for an array, -1 for None.
+        """
         eng = self._eng
         renormed = False
         mp = eng.psum / eng.n
@@ -488,10 +485,16 @@ class Simulation:
             renormed = True
             mp = eng.psum / eng.n
         profit = eng.profit
-        loser = eng.min_index()
+        loser = find_loser(profit)
         smin = profit[loser]
-        act = -1 if activity_f0 is None else int(
-            np.count_nonzero(profit < activity_f0 * mp))
+        if activity_f0 is None:
+            act = -1
+        elif np.ndim(activity_f0) == 0:
+            # one threshold: an O(N) count is cheaper than the sort below
+            act = int(np.count_nonzero(profit < activity_f0 * mp))
+        else:
+            # one O(N log N) sort serves every threshold at once
+            act = np.searchsorted(np.sort(profit), np.multiply(activity_f0, mp))
         eta = self.config.eta_max * self._rng.random()
         eng.apply_price_change(loser, eng.p[loser] * (1.0 - eta))
         t = self._t

@@ -116,6 +116,12 @@ class TestConfigParsing:
     def test_needs_config_or_run(self):
         assert cli.main(["run"]) == 1
 
+    def test_run_needs_config(self, tmp_path):
+        # --run names a record to analyze; it cannot stand in for a config
+        assert cli.main(["run", "--run", "/nonexistent.txt",
+                         "--out", str(tmp_path)]) == 1
+        assert not any(tmp_path.iterdir())
+
     def test_defaults_follow_protocol(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", "[topology]\nkind = ring\nn = 10\n")
         ecfg = cli.load_config(cfg)

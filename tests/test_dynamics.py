@@ -1,9 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import socmarket as sm
 from socmarket.errors import ConsistencyError, MarketDomainError
-from socmarket.minheap import IndexedMinHeap
 
 from conftest import random_instance
 
@@ -99,25 +100,6 @@ class TestApplyPriceCut:
         assert np.mean(etas) == pytest.approx(0.005, rel=0.02)
 
 
-class TestIndexedMinHeap:
-    def test_matches_linear_scan_under_updates(self, rng):
-        vals = rng.normal(size=200)
-        heap = IndexedMinHeap(vals)
-        for _ in range(2000):
-            i = int(rng.integers(200))
-            vals[i] = rng.normal()
-            heap.update(i, vals[i])
-            assert heap.min_index() == int(np.argmin(vals))
-        heap.check()
-
-    def test_tie_break_lowest_index(self):
-        heap = IndexedMinHeap([5.0, 1.0, 1.0])
-        assert heap.min_index() == 1
-        heap.update(2, 0.5)
-        heap.update(0, 0.5)
-        assert heap.min_index() == 0  # 0 and 2 tie at 0.5
-
-
 class TestAffectedSets:
     def test_ring_profit_set_is_seven_wide(self):
         net = sm.build_ring(100)
@@ -200,7 +182,6 @@ class TestStep:
         eng.p = [10.0] * 6
         eng.psum = 60.0
         eng.recompute_all()
-        eng._heap = IndexedMinHeap(eng.profit)
         before = list(eng.p)
         t, loser, smin, mp, _, eta, _ = sim.step()
         assert (t, loser) == (0, 0)
@@ -275,9 +256,12 @@ class TestRun:
         offline = sm.activity_signal(rescaled, f0)
         assert np.array_equal(rec.activity, offline)
 
-    def test_track_activity_matches_run(self):
+    @pytest.mark.parametrize("renorm_threshold", [None, 1e9])
+    @pytest.mark.parametrize("f0", [-0.004, 0.0])
+    def test_track_activity_matches_run(self, renorm_threshold, f0):
+        # 1e9 renormalizes every step; activity is counted after it
         net, wts, cfg = small_setup()
-        f0 = -0.004
+        cfg = dataclasses.replace(cfg, renorm_threshold=renorm_threshold)
         rec = sm.run(net, wts, cfg, activity_f0=f0)
         sim = sm.Simulation(net, wts, cfg)
         counts = sm.track_activity(sim, [f0])
@@ -414,6 +398,30 @@ class TestCheckpointResume:
         assert level == 1e-5
         assert rng2.bit_generator.state == rng.bit_generator.state
         assert rng2.random() == rng.random()
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(3)
+        path = tmp_path / "c.bin"
+        sm.save_checkpoint(path, 7, np.full(4, 10.0), rng, 40.0, 1e-5)
+
+        def crash(*args):
+            raise OSError("disk full")
+        # the second save dies after writing the magic bytes
+        monkeypatch.setattr(sm.dynamics.struct, "pack", crash)
+        with pytest.raises(OSError):
+            sm.save_checkpoint(path, 9, np.full(4, 5.0), rng, 20.0, 1e-5)
+        monkeypatch.undo()
+        t, p, _, psum, _ = sm.load_checkpoint(path)
+        assert (t, psum) == (7, 40.0)
+        assert np.array_equal(p, np.full(4, 10.0))
+
+    def test_truncated_checkpoint_rejected(self, tmp_path):
+        path = tmp_path / "c.bin"
+        sm.save_checkpoint(path, 7, np.full(4, 10.0), np.random.default_rng(3),
+                           40.0, 1e-5)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError):
+            sm.load_checkpoint(path)
 
     def test_concat_requires_contiguity(self):
         net, wts, cfg = small_setup()
