@@ -44,6 +44,35 @@ def rescale_profits(profits, mean_price):
     return s / mp
 
 
+def _linregress(x, y):
+    """Least-squares line through (x, y): (slope, intercept, rvalue, stderr).
+
+    Follows scipy.stats.linregress (scipy 1.17) step for step, so the four
+    results are bit-equal to its fields; only the p-value is left out.
+    """
+    x = np.asarray(x)
+    y = np.asarray(y)
+    if np.amax(x) == np.amin(x) and len(x) > 1:
+        raise ValueError("Cannot calculate a linear regression "
+                         "if all x values are identical")
+    n = len(x)
+    xmean = np.mean(x, None)
+    ymean = np.mean(y, None)
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.asarray(np.nan if ssxym == 0 else 0.0)[()]
+    else:
+        r = ssxym / np.sqrt(ssxm * ssym)
+        if r > 1.0:
+            r = 1.0
+        elif r < -1.0:
+            r = -1.0
+    slope = ssxym / ssxm
+    intercept = ymean - slope * xmean
+    stderr = 0.0 if n == 2 else np.sqrt((1 - r ** 2) * ssym / ssxm / (n - 2))
+    return slope, intercept, r, stderr
+
+
 def fit_decay_rate(series, smooth_window=1):
     """Exponential decay rate of a one-signed series.
 
@@ -51,8 +80,6 @@ def fit_decay_rate(series, smooth_window=1):
     log-slope unchanged), requires a single sign afterwards, then fits
     log|series| against time.  Returns k > 0 for decaying input.
     """
-    from scipy import stats
-
     s = np.asarray(series, dtype=np.float64)
     if smooth_window > 1:
         if smooth_window > s.size:
@@ -68,8 +95,7 @@ def fit_decay_rate(series, smooth_window=1):
     if s.size < 3:
         raise FitDomainError("too few points for a decay fit")
     t = np.arange(s.size)
-    res = stats.linregress(t, np.log(s))
-    return -float(res.slope)
+    return -float(_linregress(t, np.log(s))[0])
 
 
 def predicted_decay_rate(n_agents, eta_max):
@@ -197,8 +223,6 @@ class PowerLawFit:
 def fit_power_law(dist, fit_range=(10.0, 1000.0), min_points=3):
     """Fit log density against log x over bins whose representative x lies
     in fit_range.  The exponent is reported positive for decaying data."""
-    from scipy import stats
-
     lo, hi = fit_range
     sel = (dist.x >= lo) & (dist.x <= hi) & (dist.density > 0.0)
     n = int(np.count_nonzero(sel))
@@ -207,12 +231,11 @@ def fit_power_law(dist, fit_range=(10.0, 1000.0), min_points=3):
             f"need at least {min_points} nonzero bins in [{lo:g}, {hi:g}], found {n}")
     lx = np.log(dist.x[sel])
     ly = np.log(dist.density[sel])
-    res = stats.linregress(lx, ly)
-    stderr = float(res.stderr) if np.isfinite(res.stderr) else 0.0
-    return PowerLawFit(exponent=-float(res.slope), stderr=stderr,
+    slope, intercept, rvalue, stderr = _linregress(lx, ly)
+    return PowerLawFit(exponent=-float(slope),
+                       stderr=float(stderr) if np.isfinite(stderr) else 0.0,
                        fit_range=(float(lo), float(hi)), n_points=n,
-                       r_squared=float(res.rvalue) ** 2,
-                       intercept=float(res.intercept))
+                       r_squared=float(rvalue) ** 2, intercept=float(intercept))
 
 
 def fit_power_law_mle(values, x_min=1):
@@ -227,7 +250,7 @@ def fit_power_law_mle(values, x_min=1):
     v = v[v >= x_min]
     if v.size < 10:
         raise FitDomainError("too few samples for an MLE fit")
-    mean_log = float(np.mean(np.log(v / x_min)))
+    mean_log = float(np.mean(np.log(v)))
 
     def log_zeta(a):
         return np.log(special.zeta(a, x_min))
@@ -237,7 +260,10 @@ def fit_power_law_mle(values, x_min=1):
     def objective(a):
         return (log_zeta(a + h) - log_zeta(a - h)) / (2 * h) + mean_log
 
-    alpha = optimize.brentq(objective, 1.01, 20.0, xtol=1e-8)
+    try:
+        alpha = optimize.brentq(objective, 1.01, 20.0, xtol=1e-8)
+    except ValueError as exc:
+        raise FitDomainError(f"no likelihood root for the exponent in [1.01, 20]: {exc}") from exc
     # observed-information standard error
     d2 = (log_zeta(alpha + h) - 2 * log_zeta(alpha) + log_zeta(alpha - h)) / h ** 2
     stderr = 1.0 / np.sqrt(v.size * d2)
@@ -492,8 +518,6 @@ class GammaFit:
 
 def gamma_st(events, min_events=1000, min_count=3, t_range=None):
     """Exponent of <S> ~ T^gamma from the per-duration mean sizes."""
-    from scipy import stats
-
     if len(events) < min_events:
         raise FitDomainError(f"need at least {min_events} events, got {len(events)}")
     S = np.asarray([e.size for e in events], dtype=np.float64)
@@ -505,9 +529,9 @@ def gamma_st(events, min_events=1000, min_count=3, t_range=None):
         sel &= (ts >= t_range[0]) & (ts <= t_range[1])
     if np.count_nonzero(sel) < 3:
         raise FitDomainError("too few populated duration bins")
-    res = stats.linregress(np.log(ts[sel]), np.log(mean_s[sel]))
-    stderr = float(res.stderr) if np.isfinite(res.stderr) else 0.0
-    return GammaFit(gamma=float(res.slope), stderr=stderr,
+    slope, _, _, stderr = _linregress(np.log(ts[sel]), np.log(mean_s[sel]))
+    return GammaFit(gamma=float(slope),
+                    stderr=float(stderr) if np.isfinite(stderr) else 0.0,
                     n_events=len(events), n_points=int(np.count_nonzero(sel)))
 
 

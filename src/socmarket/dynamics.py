@@ -100,11 +100,16 @@ def affected_sets(net, changed):
 # engines
 
 class MarketEngine:
-    """Mutable market state with scalar update kernels.
+    """Mutable market state with one scalar update kernel.
 
     Hot state lives in plain Python lists (prices, productions, wants,
     demands, trades); profits live in the numpy array `profit`, the one
     place the step reads the loser (find_loser) and the activity from.
+
+    `_update` runs the four phases (production and wants, demand, traded,
+    profit) over a phase plan: one sequence of agents per phase.
+    `recompute_all` is the plan over all agents; the incremental engine
+    runs the precomputed affected_sets of the changed agent instead.
     """
 
     def __init__(self, net, wts, prices, incremental=True):
@@ -116,17 +121,18 @@ class MarketEngine:
         self.wts = wts
         self.n = n
         self.incremental = incremental
-        # adjacency as plain lists for the scalar kernels
-        self._sup_ptr = net.sup_ptr.tolist()
-        self._sup_idx = net.sup_idx.tolist()
+        # adjacency as plain lists for the kernel: _edges[i] holds agent
+        # i's (edge id, supplier) pairs, _in_edges[j] good j's edge ids
+        ptr = net.sup_ptr.tolist()
+        pairs = list(enumerate(net.sup_idx.tolist()))
+        self._edges = [pairs[ptr[i]:ptr[i + 1]] for i in range(n)]
         self._in_edges = net.in_edges
         self._w = wts.weights_flat.tolist()
         # state
         self.p = p.tolist()
         self.psum = math.fsum(self.p)
-        n_edges = net.n_edges
         self.qp = [0.0] * n
-        self.wants = [0.0] * n_edges
+        self.wants = [0.0] * net.n_edges
         self.qW = [0.0] * n
         self.qt = [0.0] * n
         self.profit = np.zeros(n)
@@ -135,70 +141,49 @@ class MarketEngine:
         if incremental:
             self._affected = [affected_sets(net, c) for c in range(n)]
 
-    # -- scalar kernels ------------------------------------------------
+    # -- the kernel --------------------------------------------------------
 
-    def _prod_wants(self, i):
-        p, w, sup_idx, wants = self.p, self._w, self._sup_idx, self.wants
-        base, end = self._sup_ptr[i], self._sup_ptr[i + 1]
-        pi = p[i]
-        tot = 0.0
-        for e in range(base, end):
-            pr = w[e] * (pi / p[sup_idx[e]])
-            wants[e] = pr
-            tot += _SQRT(pr)
-        q = tot ** TWO_THIRDS
-        self.qp[i] = q
-        for e in range(base, end):
-            wants[e] = wants[e] * q
-
-    def _demand(self, j):
-        wants = self.wants
-        acc = 0.0
-        for e in self._in_edges[j]:
-            acc += wants[e]
-        self.qW[j] = acc
-
-    def _profit(self, i):
-        p, qt, qW, wants, sup_idx = self.p, self.qt, self.qW, self.wants, self._sup_idx
-        acc = 0.0
-        for e in range(self._sup_ptr[i], self._sup_ptr[i + 1]):
-            j = sup_idx[e]
-            dj = qW[j]
-            if dj > 0.0:
-                acc += (wants[e] / dj) * (p[j] * qt[j])
-        s = p[i] * qt[i] - acc
-        self.profit[i] = s
-        return s
-
-    # -- full and incremental updates -----------------------------------
-
-    def recompute_all(self):
-        n, qp, qW, qt = self.n, self.qp, self.qW, self.qt
-        for i in range(n):
-            self._prod_wants(i)
-        for j in range(n):
-            self._demand(j)
-        for j in range(n):
-            a, b = qp[j], qW[j]
-            qt[j] = a if a < b else b
-        for i in range(n):
-            self._profit(i)
-        self.touched_last = n
-
-    def _recompute_after(self, c):
-        """Update all quantities affected by a change of agent c's price."""
-        production, demand, traded, profit = self._affected[c]
-        qp, qW, qt = self.qp, self.qW, self.qt
+    def _update(self, production, demand, traded, profit):
+        """Recompute production and wants over `production`, demand over
+        `demand`, traded over `traded` and profit over `profit`, in that
+        order."""
+        p, w, wants, edges, in_edges = self.p, self._w, self.wants, self._edges, self._in_edges
+        qp, qW, qt, prof = self.qp, self.qW, self.qt, self.profit
+        sqrt = _SQRT
         for i in production:
-            self._prod_wants(i)
+            pi = p[i]
+            tot = 0.0
+            for e, j in edges[i]:
+                pr = w[e] * (pi / p[j])
+                wants[e] = pr
+                tot += sqrt(pr)
+            q = tot ** TWO_THIRDS
+            qp[i] = q
+            for e, _ in edges[i]:
+                wants[e] = wants[e] * q
         for j in demand:
-            self._demand(j)
+            acc = 0.0
+            for e in in_edges[j]:
+                acc += wants[e]
+            qW[j] = acc
         for j in traded:
             a, b = qp[j], qW[j]
             qt[j] = a if a < b else b
         for i in profit:
-            self._profit(i)
+            acc = 0.0
+            for e, j in edges[i]:
+                dj = qW[j]
+                if dj > 0.0:
+                    acc += (wants[e] / dj) * (p[j] * qt[j])
+            prof[i] = p[i] * qt[i] - acc
         self.touched_last = len(profit)
+
+    def recompute_all(self):
+        self._update(*(range(self.n),) * 4)
+
+    def _recompute_after(self, c):
+        """Update all quantities affected by a change of agent c's price."""
+        self._update(*self._affected[c])
 
     def apply_price_change(self, agent, new_price):
         if not new_price > 0.0:
@@ -399,6 +384,9 @@ class RunRecord:
 # checkpoints (fixed-width little-endian, version-tagged)
 
 _CKPT_MAGIC = b"SOCMKCP1"
+# magic, t, n, psum, renorm level, PCG64 state and increment, has_uint32,
+# uinteger; the n prices follow
+_CKPT_HEAD = struct.Struct("<8sQQdd16s16sII")
 
 
 def save_checkpoint(path, t, prices, rng, psum, renorm_level):
@@ -421,13 +409,12 @@ def save_checkpoint(path, t, prices, rng, psum, renorm_level):
 
 def load_checkpoint(path):
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _CKPT_MAGIC:
+        head = fh.read(_CKPT_HEAD.size)
+        if head[:8] != _CKPT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        t, n, psum, renorm_level = struct.unpack("<QQdd", fh.read(32))
-        s = int.from_bytes(fh.read(16), "little")
-        inc = int.from_bytes(fh.read(16), "little")
-        has_u32, uint = struct.unpack("<II", fh.read(8))
+        if len(head) < _CKPT_HEAD.size:
+            raise ValueError(f"{path}: checkpoint header cut short")
+        _, t, n, psum, renorm_level, s, inc, has_u32, uint = _CKPT_HEAD.unpack(head)
         raw = fh.read(8 * n)
     if len(raw) < 8 * n:
         raise ValueError(f"{path}: checkpoint holds {len(raw) // 8} of {n} prices")
@@ -435,7 +422,8 @@ def load_checkpoint(path):
     rng = np.random.default_rng(0)
     rng.bit_generator.state = {
         "bit_generator": "PCG64",
-        "state": {"state": s, "inc": inc},
+        "state": {"state": int.from_bytes(s, "little"),
+                  "inc": int.from_bytes(inc, "little")},
         "has_uint32": has_u32, "uinteger": uint}
     return t, prices, rng, psum, renorm_level
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import socmarket as sm
+from socmarket.analysis import _linregress
 from socmarket.errors import FitDomainError, StatisticsWarning
 
 
@@ -187,10 +188,50 @@ class TestFitPowerLaw:
         assert alpha == pytest.approx(1.8, abs=0.02)
         assert 0 < stderr < 0.05
 
+    @pytest.mark.parametrize("x_min", [1, 2, 5])
+    def test_mle_recovers_exponent_above_x_min(self, x_min):
+        # the likelihood of P(x) = x^-tau / zeta(tau, x_min) on x >= x_min
+        # pairs d log zeta / d tau with the mean of log x, not log(x / x_min)
+        v = sm.sample_discrete_power_law(2.5, 200_000, np.random.default_rng(11),
+                                         x_min=x_min)
+        alpha, stderr = sm.fit_power_law_mle(v, x_min=x_min)
+        assert abs(alpha - 2.5) < 3 * stderr
+
+    def test_mle_without_root_is_a_fit_domain_error(self):
+        # all mass at x_min: the likelihood rises all the way to the bracket
+        with pytest.raises(FitDomainError):
+            sm.fit_power_law_mle(np.ones(50))
+
     def test_sampler_deterministic(self):
         a = sm.sample_discrete_power_law(1.5, 100, np.random.default_rng(3))
         b = sm.sample_discrete_power_law(1.5, 100, np.random.default_rng(3))
         assert np.array_equal(a, b)
+
+
+class TestLineFit:
+    @staticmethod
+    def _fields(res):
+        return [repr(v) for v in res]
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 40])
+    def test_bit_equal_to_scipy_linregress(self, n):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(n)
+        for k in range(200):
+            x = np.arange(n) if k % 3 == 0 else rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+            if k % 5 == 0:
+                y = np.full(n, rng.normal())  # constant y: rvalue is nan
+            else:
+                y = rng.normal(size=n) + rng.normal() * x
+            ref = stats.linregress(x, y)
+            with np.errstate(all="ignore"):
+                mine = _linregress(x, y)
+            assert self._fields(mine) == self._fields(
+                (ref.slope, ref.intercept, ref.rvalue, ref.stderr))
+
+    def test_rejects_constant_x(self):
+        with pytest.raises(ValueError):
+            _linregress([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
 
 
 def _record_from_positions(ids, extents, kind="corner_rt", transient=0):

@@ -329,15 +329,37 @@ dir = {out}
 
 
 class TestImports:
-    def test_cli_import_leaves_scipy_unloaded(self):
-        # `socmarket run` needs no fits, so importing the CLI must not pay
-        # for scipy; only the fitting functions import it
+    # line fits are plain numpy; only the MLE cross-check imports scipy
+    @staticmethod
+    def _scipy_loaded(code):
         src = str(Path(sm.__file__).resolve().parents[1])
-        code = "import sys, socmarket.cli; print('scipy' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        return out.stdout.strip().splitlines()[-1]
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        code = "import sys, socmarket.cli; print('scipy' in sys.modules)"
+        assert self._scipy_loaded(code) == "False"
+
+    def test_fitting_commands_leave_scipy_unloaded(self, tmp_path):
+        out = tmp_path / "out"
+        # a threshold and fit windows at which every line fit has data
+        text = RING_CFG.format(out=out).replace(
+            "f0 = -0.005", "f0 = -0.002\nfit_min = 1\nfit_t_min = 1")
+        cfg = write_config(tmp_path / "c.ini", text)
+        code = (
+            "import sys\n"
+            "from socmarket import cli\n"
+            "for cmd in ('avalanche-stats', 'walk-stats', 'decay-check'):\n"
+            f"    assert cli.main([cmd, '--config', {cfg!r}]) == 0\n"
+            "print('scipy' in sys.modules)\n")
+        assert self._scipy_loaded(code) == "False"
+        # the commands did fit lines
+        fits = json.loads((out / "avalanche_fits.json").read_text())
+        assert fits["tau_s"] and fits["tau_t"] and fits["gamma_st"]
+        assert json.loads((out / "jump_fits.json").read_text())["pi1"]
+        assert json.loads((out / "decay_check.json").read_text())["fitted_k"] > 0
 
 
 class TestDeterministicPipeline:

@@ -329,6 +329,15 @@ class TestEngineEquivalence:
                 touched.append(sim.engine.touched_last)
             assert max(touched) <= 7
 
+    def test_full_engine_recomputes_every_profit(self):
+        net = sm.build_ring(50)
+        wts = sm.assign_weights_fixed(net, 0.4)
+        cfg = sm.SimConfig(total_steps=20, transient_steps=0, seed=2)
+        sim = sm.Simulation(net, wts, cfg, engine="full")
+        for _ in range(20):
+            sim.step()
+            assert sim.engine.touched_last == 50
+
 
 class TestRecordSerialization:
     def test_text_roundtrip(self, tmp_path):
@@ -420,6 +429,14 @@ class TestCheckpointResume:
         sm.save_checkpoint(path, 7, np.full(4, 10.0), np.random.default_rng(3),
                            40.0, 1e-5)
         path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError):
+            sm.load_checkpoint(path)
+
+    def test_checkpoint_cut_inside_header_rejected(self, tmp_path):
+        path = tmp_path / "c.bin"
+        sm.save_checkpoint(path, 7, np.full(4, 10.0), np.random.default_rng(3),
+                           40.0, 1e-5)
+        path.write_bytes(path.read_bytes()[:20])
         with pytest.raises(ValueError):
             sm.load_checkpoint(path)
 
