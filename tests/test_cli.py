@@ -331,7 +331,7 @@ dir = {out}
 class TestImports:
     # line fits are plain numpy; only the MLE cross-check imports scipy
     @staticmethod
-    def _scipy_loaded(code):
+    def _last_line(code):
         src = str(Path(sm.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], env=env,
@@ -340,7 +340,7 @@ class TestImports:
 
     def test_cli_import_leaves_scipy_unloaded(self):
         code = "import sys, socmarket.cli; print('scipy' in sys.modules)"
-        assert self._scipy_loaded(code) == "False"
+        assert self._last_line(code) == "False"
 
     def test_fitting_commands_leave_scipy_unloaded(self, tmp_path):
         out = tmp_path / "out"
@@ -354,7 +354,7 @@ class TestImports:
             "for cmd in ('avalanche-stats', 'walk-stats', 'decay-check'):\n"
             f"    assert cli.main([cmd, '--config', {cfg!r}]) == 0\n"
             "print('scipy' in sys.modules)\n")
-        assert self._scipy_loaded(code) == "False"
+        assert self._last_line(code) == "False"
         # the commands did fit lines
         fits = json.loads((out / "avalanche_fits.json").read_text())
         assert fits["tau_s"] and fits["tau_t"] and fits["gamma_st"]
