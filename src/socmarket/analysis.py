@@ -316,18 +316,21 @@ def avalanche_exponents(events, size_range=DEFAULT_SIZE_RANGE,
                               n_events=len(events))
 
 
+def _advance_to(sim, t, chunk=8192):
+    """Step sim up to step t, dropping the per-step arrays chunk by chunk."""
+    while sim.t < t:
+        sim._advance(min(t - sim.t, chunk))
+
+
 def track_activity(sim, thresholds):
     """Step a Simulation from its current step to completion, counting
-    agents below each rescaled-profit threshold at every step with
-    Simulation.step (pre-cut, post-renormalization state, matching the
-    activity column of RunRecord).  Returns a (steps, n_thresholds) array.
+    agents below each rescaled-profit threshold at every step (pre-cut,
+    post-renormalization state, matching the activity column of
+    RunRecord; one sort per step serves all thresholds).  Returns a
+    (steps, n_thresholds) array.
     """
     thr = np.atleast_1d(np.asarray(thresholds, dtype=np.float64))
-    cfg = sim.config
-    out = np.zeros((cfg.total_steps - sim.t, thr.size), dtype=np.int32)
-    for k in range(len(out)):
-        out[k] = sim.step(thr)[4]
-    return out
+    return sim._advance(sim.config.total_steps - sim.t, thr)[4]
 
 
 # the critical threshold sits at a topology-dependent depth, but always at
@@ -374,8 +377,7 @@ def threshold_scan(net, wts, config, f0_grid=None, engine="incremental",
         f0_grid = -0.5 * config.eta_max * np.asarray(THRESHOLD_GRID_UNITS)
     f0_grid = np.asarray(f0_grid, dtype=np.float64)
     sim = Simulation(net, wts, config, engine=engine)
-    while sim.t < config.transient_steps:
-        sim.step()
+    _advance_to(sim, config.transient_steps)
     counts = track_activity(sim, f0_grid)
     entries = []
     for k, f0 in enumerate(f0_grid):
@@ -566,12 +568,11 @@ def stationary_profit_quantile(sim, q, n_snapshots=200):
     stride = max(1, span // n_snapshots)
     samples = []
     eng = sim.engine
-    while sim.t < cfg.total_steps:
-        sim.step()
-        # after the step, eng.profit is the state the NEXT step will see;
-        # pair it with the next step's mean price
-        t = sim.t
-        if (cfg.transient_steps <= t < cfg.total_steps
-                and (t - cfg.transient_steps) % stride == 0):
+    for t in range(cfg.transient_steps, cfg.total_steps, stride):
+        if t > sim.t:
+            _advance_to(sim, t)
+            # eng.profit is now the state the NEXT step will see; pair it
+            # with the next step's mean price
             samples.append(eng.profit / (eng.psum / eng.n))
+    _advance_to(sim, cfg.total_steps)
     return float(np.quantile(np.concatenate(samples), q))

@@ -2,7 +2,8 @@
 
 Each step: evaluate the market, find the agent with the least profit (the
 loser), cut its price by a random factor eta in [0, eta_max), record the
-step, repeat.  Two interchangeable engines drive the evaluation:
+step, repeat.  Simulation._advance is the one loop that runs these steps.
+Two interchangeable engines drive the evaluation:
 
 * full        -- recompute every agent each step (reference, O(N) per step)
 * incremental -- after a single price change, recompute only the affected
@@ -61,11 +62,9 @@ class SimConfig:
 
 
 def find_loser(profits):
-    """Index of the minimum profit; ties broken by the lowest index."""
-    profits = np.asarray(profits)
-    if profits.size == 0:
-        raise ValueError("empty profit vector")
-    return int(np.argmin(profits))
+    """Index of the minimum profit; ties broken by the lowest index.
+    An empty vector raises ValueError."""
+    return int(np.asarray(profits).argmin())
 
 
 # ----------------------------------------------------------------------
@@ -181,18 +180,15 @@ class MarketEngine:
     def recompute_all(self):
         self._update(*(range(self.n),) * 4)
 
-    def _recompute_after(self, c):
-        """Update all quantities affected by a change of agent c's price."""
-        self._update(*self._affected[c])
-
     def apply_price_change(self, agent, new_price):
+        """Set one price and update every quantity it affects."""
         if not new_price > 0.0:
             raise MarketDomainError("price must remain positive")
         old = self.p[agent]
         self.p[agent] = new_price
         self.psum += new_price - old
         if self.incremental:
-            self._recompute_after(agent)
+            self._update(*self._affected[agent])
         else:
             self.recompute_all()
 
@@ -285,15 +281,15 @@ class RunRecord:
 
     # -- columnar text format -------------------------------------------
 
+    # rows formatted per block: whole columns at a time, one write each
+    _WRITE_ROWS = 8192
+
     def save_text(self, path):
         dim = 1 if self.embedding.ndim == 1 else self.embedding.shape[1]
         pos_cols = ["pos_x"] if dim == 1 else ["pos_x", "pos_y"]
         cols = ["t", "loser_idx"] + pos_cols + ["min_profit", "mean_price", "renorm_flag"]
         if self.activity is not None:
             cols.append("activity")
-        pos = self.positions
-        if pos.ndim == 1:
-            pos = pos[:, None]
         with open(path, "w") as fh:
             fh.write("# soc-market-run v1\n")
             fh.write(f"# n_agents {self.n_agents}\n")
@@ -310,21 +306,18 @@ class RunRecord:
             if self.config_hash is not None:
                 fh.write(f"# config_hash {self.config_hash}\n")
             fh.write(" ".join(cols) + "\n")
-            chunk = []
-            act = self.activity
-            for k in range(len(self.loser_index)):
-                row = [str(self.start_step + k), str(self.loser_index[k])]
-                row += [str(v) for v in pos[k]]
-                row += [repr(float(self.min_profit[k])), repr(float(self.mean_price[k])),
-                        "1" if self.renorm_flags[k] else "0"]
-                if act is not None:
-                    row.append(str(act[k]))
-                chunk.append(" ".join(row))
-                if len(chunk) == 65536:
-                    fh.write("\n".join(chunk) + "\n")
-                    chunk = []
-            if chunk:
-                fh.write("\n".join(chunk) + "\n")
+            n = len(self.loser_index)
+            for a in range(0, n, self._WRITE_ROWS):
+                b = min(a + self._WRITE_ROWS, n)
+                pos = self.embedding[self.loser_index[a:b]].reshape(b - a, dim)
+                columns = [range(self.start_step + a, self.start_step + b),
+                           self.loser_index[a:b].tolist(), *pos.T.tolist(),
+                           self.min_profit[a:b].tolist(), self.mean_price[a:b].tolist(),
+                           self.renorm_flags[a:b].astype(np.uint8).tolist()]
+                if self.activity is not None:
+                    columns.append(self.activity[a:b].tolist())
+                rows = zip(*(map(repr, col) for col in columns))
+                fh.write("\n".join(map(" ".join, rows)) + "\n")
 
     @classmethod
     def load_text(cls, path):
@@ -432,7 +425,10 @@ def load_checkpoint(path):
 # simulation driver
 
 class Simulation:
-    """Owns an engine, the random source, and the step loop."""
+    """Owns an engine, the random source, and the step loop (_advance)."""
+
+    # price cuts drawn per generator call
+    _BLOCK = 1024
 
     def __init__(self, net, wts, config, engine="incremental"):
         config.validate()
@@ -457,68 +453,24 @@ class Simulation:
     def engine(self):
         return self._eng
 
-    def step(self, activity_f0=None):
+    def step(self):
         """Advance one trading day; returns (t, loser, min_profit,
-        mean_price, activity, eta, renormalized).
-
-        activity counts the agents with profit strictly below activity_f0 *
-        mean_price after any renormalization: one count for a scalar
-        activity_f0, an array of counts for an array, -1 for None.
-        """
-        eng = self._eng
-        renormed = False
-        mp = eng.psum / eng.n
-        if mp < self._renorm_level:
-            eng.renormalize()
-            renormed = True
-            mp = eng.psum / eng.n
-        profit = eng.profit
-        loser = find_loser(profit)
-        smin = profit[loser]
-        if activity_f0 is None:
-            act = -1
-        elif np.ndim(activity_f0) == 0:
-            # one threshold: an O(N) count is cheaper than the sort below
-            act = int(np.count_nonzero(profit < activity_f0 * mp))
-        else:
-            # one O(N log N) sort serves every threshold at once
-            act = np.searchsorted(np.sort(profit), np.multiply(activity_f0, mp))
-        eta = self.config.eta_max * self._rng.random()
-        eng.apply_price_change(loser, eng.p[loser] * (1.0 - eta))
+        mean_price, eta, renormalized).  One step of the loop in _advance."""
         t = self._t
-        self._t = t + 1
-        return t, loser, smin, mp, act, eta, renormed
+        loser, smin, mp, renorm, _, eta = self._advance(1)
+        return t, int(loser[0]), smin[0], mp[0], eta, bool(renorm[0])
 
     def run(self, activity_f0=None, audit_interval=0,
             checkpoint_path=None, checkpoint_every=0):
-        """Run through config.total_steps and return the RunRecord."""
+        """Run through config.total_steps and return the RunRecord; the
+        activity column counts agents below activity_f0 (see _advance)."""
         cfg = self.config
-        total = cfg.total_steps
         start = self._t
-        count = total - start
-        if count <= 0:
+        if cfg.total_steps <= start:
             raise ValueError("simulation already past total_steps")
-        loser_idx = np.empty(count, dtype=np.int32)
-        min_profit = np.empty(count)
-        mean_price = np.empty(count)
-        renorm = np.zeros(count, dtype=bool)
-        activity = None if activity_f0 is None else np.empty(count, dtype=np.int32)
-        eng = self._eng
-        step = self.step
-        for k in range(count):
-            t, loser, smin, mp, act, _, renormed = step(activity_f0)
-            loser_idx[k] = loser
-            min_profit[k] = smin
-            mean_price[k] = mp
-            if renormed:
-                renorm[k] = True
-            if activity is not None:
-                activity[k] = act
-            if audit_interval and (t + 1) % audit_interval == 0:
-                eng.audit()
-            if checkpoint_every and (t + 1) % checkpoint_every == 0 and checkpoint_path:
-                save_checkpoint(checkpoint_path, t + 1, eng.p, self._rng,
-                                eng.psum, self._renorm_level)
+        loser_idx, min_profit, mean_price, renorm, activity, _ = self._advance(
+            cfg.total_steps - start, activity_f0, audit_interval,
+            checkpoint_path, checkpoint_every)
         return RunRecord(
             n_agents=self.net.n_agents, extents=self.net.extents,
             kind=self.net.kind,
@@ -526,6 +478,72 @@ class Simulation:
             min_profit=min_profit, mean_price=mean_price, renorm_flags=renorm,
             embedding=self.net.embedding, config=cfg, activity=activity,
             activity_f0=activity_f0, start_step=start)
+
+    def _advance(self, count, activity_f0=None, audit_interval=0,
+                 checkpoint_path=None, checkpoint_every=0):
+        """The step loop: run `count` trading days.
+
+        Each day renormalizes the prices if the mean price is below the
+        renormalization level, picks the loser, counts the agents with
+        profit strictly below activity_f0 * mean_price (one count for a
+        scalar, a row of counts for an array, none for None), and cuts the
+        loser's price by eta ~ U[0, eta_max).  Cuts are drawn in blocks of
+        at most _BLOCK (rng.random(m) gives the doubles of m single draws);
+        a block ends at every audit and checkpoint step.
+
+        Returns per-step arrays (loser, min_profit, mean_price,
+        renorm_flags, activity or None) and the last cut eta.
+        """
+        eng, rng = self._eng, self._rng
+        p, profit, n = eng.p, eng.profit, eng.n
+        apply, level, eta_max = eng.apply_price_change, self._renorm_level, self.config.eta_max
+        loser_idx = np.empty(count, dtype=np.int32)
+        min_profit = np.empty(count)
+        mean_price = np.empty(count)
+        renorm = np.zeros(count, dtype=bool)
+        activity = (None if activity_f0 is None else
+                    np.empty((count,) + np.shape(activity_f0), dtype=np.int32))
+        scalar = activity is not None and activity.ndim == 1
+        if not checkpoint_path:
+            checkpoint_every = 0
+        t, k, eta = self._t, 0, None
+        while k < count:
+            m = min(count - k, self._BLOCK)
+            for every in (audit_interval, checkpoint_every):
+                if every:
+                    m = min(m, every - t % every)
+            losers, mins, means = [], [], []
+            for j, eta in enumerate((eta_max * rng.random(m)).tolist(), k):
+                mp = eng.psum / n
+                if mp < level:
+                    eng.renormalize()
+                    p = eng.p
+                    renorm[j] = True
+                    mp = eng.psum / n
+                loser = find_loser(profit)
+                losers.append(loser)
+                mins.append(profit[loser])
+                means.append(mp)
+                if scalar:
+                    # one threshold: an O(N) count is cheaper than the sort below
+                    activity[j] = np.count_nonzero(profit < activity_f0 * mp)
+                elif activity is not None:
+                    # one O(N log N) sort serves every threshold at once
+                    ranked = profit.copy()
+                    ranked.sort()
+                    activity[j] = ranked.searchsorted(activity_f0 * mp)
+                apply(loser, p[loser] * (1.0 - eta))
+            loser_idx[k:k + m] = losers
+            min_profit[k:k + m] = mins
+            mean_price[k:k + m] = means
+            k += m
+            t += m
+            self._t = t
+            if audit_interval and t % audit_interval == 0:
+                eng.audit()
+            if checkpoint_every and t % checkpoint_every == 0:
+                save_checkpoint(checkpoint_path, t, eng.p, rng, eng.psum, level)
+        return loser_idx, min_profit, mean_price, renorm, activity, eta
 
     @classmethod
     def resume(cls, net, wts, config, checkpoint_path, engine="incremental"):

@@ -346,6 +346,28 @@ class TestThresholdScan:
         full = sm.track_activity(sm.Simulation(net, wts, cfg), grid)
         assert np.array_equal(a.activity, full[cfg.transient_steps:])
 
+    @pytest.mark.parametrize("transient,total,n_snapshots", [
+        (0, 500, 200), (0, 300, 7), (50, 400, 200), (37, 1000, 3), (9000, 9300, 20)])
+    def test_quantile_samples_the_stepwise_steps(self, transient, total, n_snapshots):
+        # reference: sample after each step t in {transient + k * stride}
+        # that lies in [1, total), stepping one day at a time
+        net = sm.build_ring(20)
+        wts = sm.assign_weights_fixed(net, 0.4)
+        cfg = sm.SimConfig(total_steps=total, transient_steps=transient, seed=4)
+        stride = max(1, (total - transient) // n_snapshots)
+        ref = sm.Simulation(net, wts, cfg)
+        eng = ref.engine
+        samples = []
+        while ref.t < total:
+            ref.step()
+            if transient <= ref.t < total and (ref.t - transient) % stride == 0:
+                samples.append(eng.profit / (eng.psum / eng.n))
+        sim = sm.Simulation(net, wts, cfg)
+        q = sm.stationary_profit_quantile(sim, 0.1, n_snapshots=n_snapshots)
+        assert q == float(np.quantile(np.concatenate(samples), 0.1))
+        assert sim.t == ref.t == total
+        assert sim.engine.p == eng.p
+
     def test_quantile_threshold_is_plausible(self):
         net = sm.build_ring(20)
         wts = sm.assign_weights_fixed(net, 0.4)

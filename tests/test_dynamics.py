@@ -84,7 +84,7 @@ class TestApplyPriceCut:
         net, wts, cfg = small_setup()
         sim = sm.Simulation(net, wts, cfg)
         before = list(sim.engine.p)
-        _, loser, _, _, _, eta, _ = sim.step()
+        _, loser, _, _, eta, _ = sim.step()
         after = sim.engine.p
         assert 0.0 <= eta < cfg.eta_max
         assert after[loser] == before[loser] * (1.0 - eta)
@@ -96,7 +96,7 @@ class TestApplyPriceCut:
         net, wts, _ = small_setup()
         cfg = sm.SimConfig(total_steps=20_000, transient_steps=0, seed=0)
         sim = sm.Simulation(net, wts, cfg)
-        etas = [sim.step()[5] for _ in range(20_000)]
+        etas = [sim.step()[4] for _ in range(20_000)]
         assert np.mean(etas) == pytest.approx(0.005, rel=0.02)
 
 
@@ -183,7 +183,7 @@ class TestStep:
         eng.psum = 60.0
         eng.recompute_all()
         before = list(eng.p)
-        t, loser, smin, mp, _, eta, _ = sim.step()
+        t, loser, smin, mp, eta, _ = sim.step()
         assert (t, loser) == (0, 0)
         assert smin == 0.0
         assert eng.p[0] == before[0] * (1.0 - eta)
@@ -339,6 +339,105 @@ class TestEngineEquivalence:
             assert sim.engine.touched_last == 50
 
 
+def reference_loop(net, wts, cfg, engine, f0, thresholds):
+    """The documented step, written out from the engine's public pieces
+    with one scalar draw per cut."""
+    rng = np.random.default_rng(cfg.seed)
+    prices = cfg.price_floor + rng.random(net.n_agents)
+    eng = sm.MarketEngine(net, wts, prices, incremental=(engine == "incremental"))
+    if cfg.renorm_threshold is None:
+        level = 1e-6 * (eng.psum / eng.n)
+    else:
+        level = cfg.renorm_threshold
+    cols = {k: [] for k in ("loser", "min_profit", "mean_price", "renorm",
+                            "activity", "per_threshold")}
+    for _ in range(cfg.total_steps):
+        mp = eng.psum / eng.n
+        renormed = mp < level
+        if renormed:
+            eng.renormalize()
+            mp = eng.psum / eng.n
+        profit = eng.profit
+        loser = sm.find_loser(profit)
+        cols["loser"].append(loser)
+        cols["min_profit"].append(profit[loser])
+        cols["mean_price"].append(mp)
+        cols["renorm"].append(renormed)
+        cols["activity"].append(int(np.sum(profit < f0 * mp)))
+        cols["per_threshold"].append([int(np.sum(profit < x * mp)) for x in thresholds])
+        eta = cfg.eta_max * rng.random()
+        eng.apply_price_change(loser, eng.p[loser] * (1.0 - eta))
+    return cols, eng.p, rng.bit_generator.state
+
+
+class TestStepLoop:
+    @pytest.mark.parametrize("m", [1, 7, 1024, 3001])
+    def test_block_draw_equals_single_draws(self, m):
+        block, single = np.random.default_rng(m), np.random.default_rng(m)
+        drawn = block.random(m).tolist()
+        assert drawn == [single.random() for _ in range(m)]
+        assert block.bit_generator.state == single.bit_generator.state
+
+    @pytest.mark.parametrize("renorm_threshold", [None, 1e9])
+    @pytest.mark.parametrize("engine", ["incremental", "full"])
+    @pytest.mark.parametrize("maker", [
+        lambda: sm.build_ring(30),
+        lambda: sm.build_corner_lattice(6, "RT"),
+        lambda: sm.build_manhattan(6),
+        lambda: sm.build_f_lattice(6),
+        lambda: sm.build_er_embedded(40, 0.08, np.random.default_rng(2)),
+    ], ids=["ring", "rt", "manhattan", "f", "er"])
+    def test_run_equals_reference_loop(self, maker, engine, renorm_threshold):
+        net = maker()
+        wts = sm.assign_weights_uniform(net, np.random.default_rng(3))
+        # more steps than one block of cuts
+        cfg = sm.SimConfig(total_steps=2500, transient_steps=100, seed=6,
+                           renorm_threshold=renorm_threshold)
+        f0, grid = -0.004, [-0.006, -0.004, -0.002, 0.0]
+        ref, ref_p, ref_state = reference_loop(net, wts, cfg, engine, f0, grid)
+        sim = sm.Simulation(net, wts, cfg, engine=engine)
+        rec = sim.run(activity_f0=f0)
+        assert rec.loser_index.tolist() == ref["loser"]
+        assert rec.min_profit.tolist() == ref["min_profit"]
+        assert rec.mean_price.tolist() == ref["mean_price"]
+        assert rec.renorm_flags.tolist() == ref["renorm"]
+        assert rec.activity.tolist() == ref["activity"]
+        assert sim.engine.p == ref_p
+        assert sim._rng.bit_generator.state == ref_state
+        tracked = sm.Simulation(net, wts, cfg, engine=engine)
+        assert sm.track_activity(tracked, grid).tolist() == ref["per_threshold"]
+        assert tracked.engine.p == ref_p
+        assert tracked._rng.bit_generator.state == ref_state
+
+    @pytest.mark.parametrize("renorm_threshold", [None, 1e9])
+    def test_checkpoint_and_audit_cadence(self, tmp_path, monkeypatch, renorm_threshold):
+        net, wts, _ = small_setup()
+        cfg = sm.SimConfig(total_steps=3000, transient_steps=20, seed=7,
+                           renorm_threshold=renorm_threshold)
+        full = sm.run(net, wts, cfg, activity_f0=-0.004)
+        audited = []
+        audit = sm.MarketEngine.audit
+
+        def counting_audit(eng, *args, **kwargs):
+            audited.append(sim.t)
+            return audit(eng, *args, **kwargs)
+        monkeypatch.setattr(sm.MarketEngine, "audit", counting_audit)
+        # checkpoint every 7 steps (no divisor of a block of cuts) and stop
+        # at step 2050, past the last checkpoint at 2044
+        ckpt = tmp_path / "ckpt.bin"
+        sim = sm.Simulation(net, wts, dataclasses.replace(cfg, total_steps=2050))
+        head = sim.run(activity_f0=-0.004, audit_interval=13,
+                       checkpoint_path=ckpt, checkpoint_every=7)
+        assert audited == list(range(13, 2051, 13))
+        assert sm.load_checkpoint(ckpt)[0] == 2044
+        sim = sm.Simulation.resume(net, wts, cfg, ckpt)
+        tail = sim.run(activity_f0=-0.004, audit_interval=13)
+        assert audited[len(range(13, 2051, 13)):] == list(range(2054, 3001, 13))
+        for name in ("loser_index", "min_profit", "mean_price", "renorm_flags", "activity"):
+            joined = np.concatenate([getattr(head, name)[:2044], getattr(tail, name)])
+            assert np.array_equal(joined, getattr(full, name)), name
+
+
 class TestRecordSerialization:
     def test_text_roundtrip(self, tmp_path):
         net, wts, cfg = small_setup()
@@ -373,6 +472,45 @@ class TestRecordSerialization:
         sm.run(net, wts, cfg).save_text(p1)
         sm.run(net, wts, cfg).save_text(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("net,with_activity", [
+        (sm.build_ring(50), True),
+        (sm.build_corner_lattice(10, "RT"), False),
+        (sm.build_corner_lattice(10, "RT"), True),
+    ], ids=["ring-activity", "lattice", "lattice-activity"])
+    def test_block_writer_matches_row_reference(self, tmp_path, net, with_activity):
+        # more rows than one write block, a nonzero start step, and a
+        # reference that formats each row value by value
+        rng = np.random.default_rng(5)
+        n = sm.RunRecord._WRITE_ROWS + 1234
+        rec = sm.RunRecord(
+            n_agents=net.n_agents, extents=net.extents, transient_steps=10,
+            loser_index=rng.integers(0, net.n_agents, n).astype(np.int32),
+            min_profit=rng.normal(size=n) * 1e-3,
+            mean_price=rng.random(n) * 1e-5,
+            renorm_flags=rng.random(n) < 0.1, embedding=net.embedding,
+            kind=net.kind, start_step=777,
+            activity=rng.integers(0, 60, n).astype(np.int32) if with_activity else None,
+            activity_f0=-0.004 if with_activity else None)
+        path = tmp_path / "run.txt"
+        rec.save_text(path)
+        text = path.read_text()
+        head, _, body = text.partition("\nt loser_idx")
+        rows = []
+        pos = rec.positions.reshape(n, -1)
+        for k in range(n):
+            row = [str(rec.start_step + k), str(rec.loser_index[k])]
+            row += [str(v) for v in pos[k]]
+            row += [repr(float(rec.min_profit[k])), repr(float(rec.mean_price[k])),
+                    "1" if rec.renorm_flags[k] else "0"]
+            if with_activity:
+                row.append(str(rec.activity[k]))
+            rows.append(" ".join(row))
+        # compare lines: a failing diff of two long strings takes minutes
+        assert body.split("\n")[1:] == rows + [""]
+        back = sm.RunRecord.load_text(path)
+        assert back.start_step == 777
+        assert np.array_equal(back.positions, rec.positions)
 
 
 class TestCheckpointResume:
