@@ -20,7 +20,6 @@ import hashlib
 import json
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -46,6 +45,16 @@ DEFAULTS = {
 }
 
 MIN_EVENTS = 1000
+
+# [topology] keys each buildable kind needs
+TOPOLOGY_KEYS = {
+    "ring": ("n",),
+    "manhattan": ("L",),
+    "f_lattice": ("L",),
+    "corner": ("L",),
+    **{f"corner_{c.lower()}": ("L",) for c in topology.CORNERS},
+    "er_embedded": ("n", "alpha"),
+}
 
 
 @dataclass
@@ -73,17 +82,30 @@ class ExperimentConfig:
     checkpoint_every: int = DEFAULTS["checkpoint_every"]
 
     def validate(self):
+        """Check the fields without building anything: the sim parameters,
+        that the topology kind is known and has its required keys, and the
+        analysis settings.  The topology and weight values (L, n, alpha,
+        corner, scheme, a) are range-checked by the one real build in
+        build_experiment, so an analysis of a recorded run never checks
+        them."""
         try:
             self.sim.validate()
-            build_experiment(self, self.sim.seed)
-        except (TopologyError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.kind not in TOPOLOGY_KEYS:
+            raise ConfigError(f"unknown network kind {self.kind!r}")
+        missing = [key for key in TOPOLOGY_KEYS[self.kind] if getattr(self, key) is None]
+        if missing:
+            raise ConfigError(f"[topology] kind = {self.kind} needs "
+                              + " and ".join(missing))
         if self.f0 is not None and self.f0_quantile is not None:
             raise ConfigError("give f0 or f0_quantile, not both")
         if self.f0_quantile is not None and not 0.0 < self.f0_quantile < 1.0:
             raise ConfigError("f0_quantile must lie in (0, 1)")
         if not 0 < self.fit_min < self.fit_max:
             raise ConfigError("need 0 < fit_min < fit_max")
+        if not 0 < self.fit_t_min < self.fit_t_max:
+            raise ConfigError("need 0 < fit_t_min < fit_t_max")
         if self.distance_mode not in ("raw", "min_image"):
             raise ConfigError(f"unknown distance_mode {self.distance_mode!r}")
         if self.distance_metric not in ("norm", "component"):
@@ -227,6 +249,7 @@ def _scan_for_threshold(ecfg, net, wts, sim_cfg):
 
 def _run_one(ecfg, seed, record_path, checkpoint_path):
     net, wts, sim_cfg = build_experiment(ecfg, seed)
+    record_path.parent.mkdir(parents=True, exist_ok=True)
     f0 = ecfg.f0
     sim = dynamics.Simulation(net, wts, sim_cfg, engine=ecfg.engine)
     record = sim.run(activity_f0=f0,
@@ -246,11 +269,11 @@ def _run_one(ecfg, seed, record_path, checkpoint_path):
 
 def cmd_run(ecfg, args):
     out = Path(ecfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     seeds = [ecfg.sim.seed + k for k in range(ecfg.n_seeds)]
     jobs = [(seed, out / f"run_seed{seed}.txt", out / f"ckpt_seed{seed}.bin")
             for seed in seeds]
     if ecfg.workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=ecfg.workers) as pool:
             futures = [pool.submit(_run_one, ecfg, s, rp, cp) for s, rp, cp in jobs]
             summaries = [f.result() for f in futures]
@@ -286,9 +309,9 @@ def _obtain_record(ecfg, args, activity_f0=None):
 
 
 def cmd_walk_stats(ecfg, args):
+    record = _obtain_record(ecfg, args)
     out = Path(ecfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    record = _obtain_record(ecfg, args)
     is_lattice = record.kind in ("ring",) + topology.LATTICE_KINDS
     stats = analysis.loser_jump_stats(
         record, mode=ecfg.distance_mode, metric=ecfg.distance_metric)
@@ -323,8 +346,6 @@ def cmd_walk_stats(ecfg, args):
 
 
 def cmd_avalanche_stats(ecfg, args):
-    out = Path(ecfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if args.run:
         record = dynamics.RunRecord.load_text(args.run)
         if record.activity is None:
@@ -349,6 +370,8 @@ def cmd_avalanche_stats(ecfg, args):
             y = record.post(record.activity)
         else:
             f0, f0_mode, y = _scan_for_threshold(ecfg, net, wts, sim_cfg)
+    out = Path(ecfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     events = analysis.extract_avalanches(y)
     if len(events) == 0 and not args.run and ecfg.f0 is not None:
         # documented fallback: the absolute threshold missed the stationary
@@ -416,9 +439,9 @@ def cmd_avalanche_stats(ecfg, args):
 
 
 def cmd_decay_check(ecfg, args):
+    record = _obtain_record(ecfg, args)
     out = Path(ecfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    record = _obtain_record(ecfg, args)
     n = record.n_agents
     eta_max = record.config.eta_max if record.config else ecfg.sim.eta_max
     predicted = analysis.predicted_decay_rate(n, eta_max)
@@ -507,7 +530,8 @@ def main(argv=None):
         if stat_warnings and args.strict:
             return 3
         return rc
-    except ConfigError as exc:
+    except (ConfigError, TopologyError) as exc:
+        # a TopologyError comes from a builder's range check on the config
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - surface runtime failures as exit 2

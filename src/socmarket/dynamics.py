@@ -85,14 +85,19 @@ def affected_sets(net, changed):
     agent and its customers (A); demand changes for suppliers of A (B);
     traded for C = A | B; profit for C and customers of C.  Each phase
     lists an agent once.
+
+    The order within a phase is free, so the phases are formed as set
+    unions: in MarketEngine._update each agent of a phase writes only its
+    own slots (its production and wants, its demand, its trade, its
+    profit) and reads only prices and what earlier phases wrote, so any
+    order gives the same bits.
     """
     sup, cust = net.suppliers, net.customers
-    # dict.fromkeys drops repeats and keeps first-seen order
-    prod = (changed, *cust[changed])
-    dem = tuple(dict.fromkeys(j for i in prod for j in sup[i]))
-    traded = tuple(dict.fromkeys(prod + dem))
-    profit = tuple(dict.fromkeys(traded + tuple(i for j in traded for i in cust[j])))
-    return AffectedSets(prod, dem, traded, profit)
+    prod = {changed, *cust[changed]}
+    dem = set().union(*map(sup.__getitem__, prod))
+    traded = prod | dem
+    profit = traded.union(*map(cust.__getitem__, traded))
+    return AffectedSets(tuple(prod), tuple(dem), tuple(traded), tuple(profit))
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,8 @@ loser-walk statistics use to measure jump distances.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .errors import TopologyError
@@ -24,16 +26,37 @@ _DIR_PRECEDENCE = "RTLB"
 CORNERS = ("RT", "LT", "LB", "RB")
 
 
+def _split_rows(flat, ptr):
+    """flat[ptr[i]:ptr[i + 1]] for every i, as lists of Python ints."""
+    widths = np.diff(ptr)
+    if widths.size and np.all(widths == widths[0]):
+        return flat.reshape(widths.size, widths[0]).tolist()
+    values, bounds = flat.tolist(), ptr.tolist()
+    return [values[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _first(mask):
+    """Index of the first True entry of a boolean array, or None."""
+    return int(np.argmax(mask)) if mask.any() else None
+
+
 class TradeNetwork:
     """Directed supplier/customer graph with spatial embedding.
 
     Treated as immutable after construction; safe to share read-only.
 
+    `suppliers` is a sequence of rows, or an (N, K) integer array when every
+    agent has K suppliers.  The constructor validates and transposes with
+    whole-array numpy operations: one stable argsort of the supplier column
+    orders each good's customers by ascending index, with in_edges in the
+    same order, which fixes the order in which the engine sums demand.
+
     Attributes
     ----------
     n_agents : int
     suppliers : list of lists, suppliers[i] = ordered supplier indices of i
-    customers : list of lists, exact transpose of suppliers
+    customers : list of lists, exact transpose of suppliers, ascending
+    in_edges  : list of lists, in_edges[j] = supplier-edge ids of customers[j]
     embedding : (N,) or (N, 2) int array of agent coordinates
     extents   : tuple of periodic linear sizes, one per embedding dimension
     kind      : one of NETWORK_KINDS
@@ -44,38 +67,47 @@ class TradeNetwork:
             raise TopologyError(f"unknown network kind {kind!r}")
         n = len(suppliers)
         self.n_agents = n
-        self.suppliers = [list(map(int, row)) for row in suppliers]
         self.embedding = np.asarray(embedding, dtype=np.int64)
         self.extents = tuple(int(e) for e in extents)
         self.kind = kind
 
-        for i, row in enumerate(self.suppliers):
-            if not row:
-                raise TopologyError(f"agent {i} has no suppliers")
-            if i in row:
-                raise TopologyError(f"agent {i} supplies itself")
-            if len(set(row)) != len(row):
-                raise TopologyError(f"agent {i} has duplicate suppliers")
-            for j in row:
-                if not 0 <= j < n:
-                    raise TopologyError(f"agent {i} has supplier {j} out of range")
-
         # CSR over supplier edges; edge e belongs to row row_agent[e]
-        degrees = [len(row) for row in self.suppliers]
+        if isinstance(suppliers, np.ndarray):  # (N, K): K suppliers each
+            degrees = np.full(n, suppliers.shape[1], dtype=np.int64)
+            flat = suppliers.ravel()
+        else:
+            degrees = np.fromiter(map(len, suppliers), dtype=np.int64, count=n)
+            flat = np.fromiter(chain.from_iterable(suppliers), dtype=np.int64,
+                               count=degrees.sum())
         self.sup_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=self.sup_ptr[1:])
-        self.sup_idx = np.fromiter(
-            (j for row in self.suppliers for j in row), dtype=np.int64,
-            count=self.sup_ptr[-1])
+        self.sup_idx = flat.astype(np.int64)
         self.row_agent = np.repeat(np.arange(n, dtype=np.int64), degrees)
 
-        # transpose: customers[j] ordered by ascending customer index, and
-        # in_edges[j] holds the matching supplier-edge ids in the same order
-        self.customers = [[] for _ in range(n)]
-        self.in_edges = [[] for _ in range(n)]
-        for e, (i, j) in enumerate(zip(self.row_agent, self.sup_idx)):
-            self.customers[j].append(int(i))
-            self.in_edges[j].append(e)
+        # edges are stored by ascending row, so the first flagged edge
+        # names the lowest offending agent
+        sup, row = self.sup_idx, self.row_agent
+        if not degrees.all():
+            raise TopologyError(f"agent {np.argmin(degrees)} has no suppliers")
+        e = _first((sup < 0) | (sup >= n))
+        if e is not None:
+            raise TopologyError(f"agent {row[e]} has supplier {sup[e]} out of range")
+        e = _first(sup == row)
+        if e is not None:
+            raise TopologyError(f"agent {row[e]} supplies itself")
+        pairs = np.sort(row * n + sup)
+        e = _first(pairs[1:] == pairs[:-1])
+        if e is not None:
+            raise TopologyError(f"agent {pairs[e] // n} has duplicate suppliers")
+        self.suppliers = _split_rows(self.sup_idx, self.sup_ptr)
+
+        # transpose; edges are stored by ascending row, so a stable sort on
+        # the supplier keeps each good's customers ascending
+        order = np.argsort(self.sup_idx, kind="stable")
+        cust_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.sup_idx, minlength=n), out=cust_ptr[1:])
+        self.customers = _split_rows(self.row_agent[order], cust_ptr)
+        self.in_edges = _split_rows(order, cust_ptr)
 
     @property
     def n_edges(self):
@@ -130,23 +162,31 @@ def build_ring(n_agents):
     n = int(n_agents)
     if n < 3:
         raise TopologyError(f"ring needs at least 3 agents, got {n}")
-    suppliers = [[(i - 1) % n, (i + 1) % n] for i in range(n)]
-    return TradeNetwork(suppliers, np.arange(n), (n,), "ring")
+    i = np.arange(n)
+    return TradeNetwork(np.stack([(i - 1) % n, (i + 1) % n], axis=1),
+                        i, (n,), "ring")
 
 
-def _lattice_coords(L):
+def _lattice(L, steps, kind):
+    """L x L periodic lattice, agent id = x + y*L.  steps[k] is the (dx, dy)
+    offset of every agent's k-th supplier, as scalars or per-agent arrays."""
     ids = np.arange(L * L)
-    return np.stack([ids % L, ids // L], axis=1)  # (x, y), id = x + y*L
+    x, y = ids % L, ids // L
+    rows = np.stack([(x + dx) % L + ((y + dy) % L) * L for dx, dy in steps], axis=1)
+    return TradeNetwork(rows, np.stack([x, y], axis=1), (L, L), kind)
 
 
-def _corner_suppliers(x, y, L, corner):
-    """Suppliers of (x, y) for a two-direction corner, in R,T,L,B precedence."""
-    dirs = sorted(corner, key=_DIR_PRECEDENCE.index)
-    out = []
-    for d in dirs:
-        dx, dy = _DIRS[d]
-        out.append((x + dx) % L + ((y + dy) % L) * L)
-    return out
+def _corner_steps(corner):
+    """Supplier offsets of a two-direction corner, in R,T,L,B precedence."""
+    return [_DIRS[d] for d in sorted(corner, key=_DIR_PRECEDENCE.index)]
+
+
+def _tiled_steps(L, tile):
+    """Per-agent supplier offsets from a 2x2 tile of offset pairs, where
+    tile[y % 2][x % 2] lists the two (dx, dy) of the agent at (x, y)."""
+    ids = np.arange(L * L)
+    offsets = np.asarray(tile)[(ids // L) % 2, (ids % L) % 2]  # (N, supplier, dx/dy)
+    return [(offsets[:, k, 0], offsets[:, k, 1]) for k in range(2)]
 
 
 def build_corner_lattice(L, corner):
@@ -158,9 +198,7 @@ def build_corner_lattice(L, corner):
         raise TopologyError(f"corner must be one of {CORNERS}, got {corner!r}")
     if L < 3:
         raise TopologyError(f"corner lattice needs L >= 3, got {L}")
-    suppliers = [_corner_suppliers(i % L, i // L, L, corner) for i in range(L * L)]
-    return TradeNetwork(suppliers, _lattice_coords(L), (L, L),
-                        f"corner_{corner.lower()}")
+    return _lattice(L, _corner_steps(corner), f"corner_{corner.lower()}")
 
 
 # 2x2 tile of corner types, indexed [y % 2][x % 2]; chosen so that walking
@@ -174,11 +212,8 @@ def build_manhattan(L):
     L = int(L)
     if L < 4 or L % 2:
         raise TopologyError(f"manhattan lattice needs even L >= 4, got {L}")
-    suppliers = []
-    for i in range(L * L):
-        x, y = i % L, i // L
-        suppliers.append(_corner_suppliers(x, y, L, _MANHATTAN_TILE[y % 2][x % 2]))
-    return TradeNetwork(suppliers, _lattice_coords(L), (L, L), "manhattan")
+    tile = [[_corner_steps(c) for c in row] for row in _MANHATTAN_TILE]
+    return _lattice(L, _tiled_steps(L, tile), "manhattan")
 
 
 def build_f_lattice(L):
@@ -187,15 +222,10 @@ def build_f_lattice(L):
     L = int(L)
     if L < 4 or L % 2:
         raise TopologyError(f"f lattice needs even L >= 4, got {L}")
-    suppliers = []
-    for i in range(L * L):
-        x, y = i % L, i // L
-        if (x + y) % 2 == 0:
-            row = [(x - 1) % L + y * L, (x + 1) % L + y * L]          # left, right
-        else:
-            row = [x + ((y + 1) % L) * L, x + ((y - 1) % L) * L]      # top, bottom
-        suppliers.append(row)
-    return TradeNetwork(suppliers, _lattice_coords(L), (L, L), "f_lattice")
+    left_right = [_DIRS["L"], _DIRS["R"]]
+    top_bottom = [_DIRS["T"], _DIRS["B"]]
+    tile = [[left_right, top_bottom], [top_bottom, left_right]]
+    return _lattice(L, _tiled_steps(L, tile), "f_lattice")
 
 
 def build_er_embedded(n_agents, alpha, rng):
@@ -213,14 +243,13 @@ def build_er_embedded(n_agents, alpha, rng):
     rng = np.random.default_rng(rng)
     mat = rng.random((n, n)) < alpha
     np.fill_diagonal(mat, False)
-    suppliers = [list(np.flatnonzero(mat[i])) for i in range(n)]
-    for i in range(n):
-        if not suppliers[i]:
-            j = int(rng.integers(n - 1))
-            if j >= i:
-                j += 1  # skip self
-            suppliers[i] = [j]
-    return TradeNetwork(suppliers, np.arange(n), (n,), "er_embedded")
+    for i in np.flatnonzero(~mat.any(axis=1)):
+        j = int(rng.integers(n - 1))
+        mat[i, j + (j >= i)] = True  # skip self
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(mat.sum(axis=1), out=ptr[1:])
+    return TradeNetwork(_split_rows(np.nonzero(mat)[1], ptr),
+                        np.arange(n), (n,), "er_embedded")
 
 
 def build_network(kind, *, n=None, L=None, alpha=None, corner=None, rng=None):
@@ -246,11 +275,12 @@ def assign_weights_fixed(net, a):
     agent's list gets weight a, the second gets 1 - a."""
     if not 0.0 < a < 1.0:
         raise TopologyError(f"choice parameter must lie in (0, 1), got {a}")
-    for i in range(net.n_agents):
-        if net.degree(i) != 2:
-            raise TopologyError(
-                f"fixed split needs exactly 2 suppliers everywhere; "
-                f"agent {i} has {net.degree(i)}")
+    degrees = np.diff(net.sup_ptr)
+    if np.any(degrees != 2):
+        i = int(np.argmax(degrees != 2))
+        raise TopologyError(
+            f"fixed split needs exactly 2 suppliers everywhere; "
+            f"agent {i} has {degrees[i]}")
     w = np.tile([a, 1.0 - a], net.n_agents)
     return ExpenditureMatrix(net, w, f"fixed_split({a})")
 

@@ -97,9 +97,35 @@ class TestConfigParsing:
         assert cli.main(["run", "--config", cfg]) == 1
 
     def test_invalid_lattice_size(self, tmp_path):
+        # validation checks fields only; the builder's range check fails
+        # the one real build, still as a config error and before any output
+        out = tmp_path / "out"
         cfg = write_config(tmp_path / "c.ini",
                            "[topology]\nkind = manhattan\nL = 5\n")
-        assert cli.main(["run", "--config", cfg]) == 1
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("topology_text, key", [
+        ("kind = corner\ncorner = RT", "L"),
+        ("kind = ring", "n"),
+        ("kind = er_embedded\nn = 30", "alpha"),
+    ], ids=["corner", "ring", "er_embedded"])
+    def test_missing_topology_key(self, tmp_path, capsys, topology_text, key):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.ini", f"[topology]\n{topology_text}\n")
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"needs {key}" in err
+        assert not out.exists()
+
+    def test_inverted_duration_window(self, tmp_path):
+        cfg = write_config(tmp_path / "c.ini",
+                           "[topology]\nkind = ring\nn = 10\n"
+                           "[analysis]\nfit_t_min = 100\nfit_t_max = 10\n")
+        with pytest.raises(sm.ConfigError, match="fit_t_min < fit_t_max"):
+            cli.load_config(cfg).validate()
+        assert cli.main(["avalanche-stats", "--config", cfg,
+                         "--out", str(tmp_path / "out")]) == 1
 
     def test_invalid_eta(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini",
@@ -328,6 +354,34 @@ dir = {out}
         assert 0.5 < res["ratio"] < 2.0
 
 
+class TestBuildCount:
+    """Each process builds an experiment's network only where it runs it."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        calls = []
+        build = cli.topology.build_network
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+        monkeypatch.setattr(cli.topology, "build_network", counting)
+        return calls
+
+    def test_run_builds_once_and_recorded_analyses_build_nothing(
+            self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.ini", RING_CFG.format(out=out))
+        calls = self._count_builds(monkeypatch)
+        assert cli.main(["run", "--config", cfg]) == 0
+        assert len(calls) == 1
+        record = str(out / "run_seed3.txt")
+        for cmd in ("walk-stats", "avalanche-stats", "decay-check"):
+            del calls[:]
+            assert cli.main([cmd, "--config", cfg, "--run", record]) == 0, cmd
+            assert calls == [], cmd
+
+
 class TestImports:
     # line fits are plain numpy; only the MLE cross-check imports scipy
     @staticmethod
@@ -341,6 +395,12 @@ class TestImports:
     def test_cli_import_leaves_scipy_unloaded(self):
         code = "import sys, socmarket.cli; print('scipy' in sys.modules)"
         assert self._last_line(code) == "False"
+
+    def test_cli_import_leaves_process_pools_unloaded(self):
+        # only `run` with workers > 1 starts a process pool
+        code = ("import sys, socmarket.cli; print(sorted(m for m in sys.modules "
+                "if m in ('concurrent.futures.process', 'multiprocessing')))")
+        assert self._last_line(code) == "[]"
 
     def test_fitting_commands_leave_scipy_unloaded(self, tmp_path):
         out = tmp_path / "out"

@@ -127,6 +127,44 @@ class TestAffectedSets:
         for phase in sets:
             assert len(set(phase)) == len(phase)
 
+    @pytest.mark.parametrize("build", [
+        lambda: sm.build_ring(9),
+        lambda: sm.build_corner_lattice(5, "RT"),
+        lambda: sm.build_corner_lattice(5, "LB"),
+        lambda: sm.build_manhattan(6),
+        lambda: sm.build_f_lattice(6),
+        lambda: sm.build_er_embedded(40, 0.1, np.random.default_rng(5)),
+        lambda: sm.build_er_embedded(60, 0.02, np.random.default_rng(6)),
+    ], ids=["ring", "corner_rt", "corner_lb", "manhattan", "f_lattice",
+            "er_dense", "er_sparse"])
+    def test_every_agent_matches_closure_loop(self, build):
+        net = build()
+        sup, cust = net.suppliers, net.customers
+        for c in range(net.n_agents):
+            prod = [c] + cust[c]
+            dem = [j for i in prod for j in sup[i]]
+            traded = prod + dem
+            profit = traded + [i for j in traded for i in cust[j]]
+            sets = sm.affected_sets(net, c)
+            assert [set(phase) for phase in sets] == \
+                [set(prod), set(dem), set(traded), set(profit)]
+            assert all(len(set(phase)) == len(phase) for phase in sets)
+
+    def test_order_within_a_phase_is_free(self, rng):
+        # each phase writes its own agents' slots and reads only prices and
+        # earlier phases, so a shuffled plan gives the same bits
+        for _ in range(10):
+            net, wts, prices = random_instance(rng)
+            a = sm.MarketEngine(net, wts, prices)
+            b = sm.MarketEngine(net, wts, prices)
+            c = int(rng.integers(net.n_agents))
+            a.apply_price_change(c, prices[c] * 0.99)
+            b.p[c] = prices[c] * 0.99
+            b._update(*(rng.permutation(phase).tolist()
+                        for phase in sm.affected_sets(net, c)))
+            assert (a.qp, a.wants, a.qW, a.qt) == (b.qp, b.wants, b.qW, b.qt)
+            assert a.profit.tobytes() == b.profit.tobytes()
+
     def test_covers_all_actually_changed_profits(self, rng):
         # brute force: after one cut, profits outside the predicted set
         # must be bit-identical to before

@@ -194,6 +194,49 @@ class TestInvariants:
         with pytest.raises(TopologyError):
             sm.TradeNetwork([[0], [0]], np.arange(2), (2,), "custom")
 
+    # a valid 5-ring with agents 2 and 4 broken the same way: the error
+    # names the lowest offending agent
+    @pytest.mark.parametrize("bad_row, message", [
+        ([], "agent 2 has no suppliers"),
+        ([1, 3, 1], "agent 2 has duplicate suppliers"),
+        ([1, 5], "agent 2 has supplier 5 out of range"),
+        ([-1, 3], "agent 2 has supplier -1 out of range"),
+        ([1, 2], "agent 2 supplies itself"),
+    ], ids=["no_suppliers", "duplicate", "above_range", "below_range", "self_supply"])
+    def test_invalid_rows_rejected(self, bad_row, message):
+        rows = [[4, 1], [0, 2], bad_row, [2, 4], [3, 0]]
+        rows[4] = [4 if j == 2 else j for j in bad_row]
+        with pytest.raises(TopologyError, match=f"^{message}$"):
+            sm.TradeNetwork(rows, np.arange(5), (5,), "custom")
+
+    @pytest.mark.parametrize("build", [
+        lambda: sm.build_ring(7),
+        lambda: sm.build_corner_lattice(5, "RT"),
+        lambda: sm.build_corner_lattice(5, "LT"),
+        lambda: sm.build_corner_lattice(5, "LB"),
+        lambda: sm.build_corner_lattice(5, "RB"),
+        lambda: sm.build_manhattan(6),
+        lambda: sm.build_f_lattice(6),
+        lambda: sm.build_er_embedded(40, 0.1, np.random.default_rng(3)),
+        lambda: sm.build_er_embedded(60, 0.01, np.random.default_rng(4)),
+    ], ids=["ring", "corner_rt", "corner_lt", "corner_lb", "corner_rb",
+            "manhattan", "f_lattice", "er_dense", "er_repaired"])
+    def test_transpose_equals_double_loop(self, build):
+        net = build()
+        customers = [[] for _ in range(net.n_agents)]
+        in_edges = [[] for _ in range(net.n_agents)]
+        e = 0
+        for i, row in enumerate(net.suppliers):
+            for j in row:
+                customers[j].append(i)
+                in_edges[j].append(e)
+                e += 1
+        assert net.customers == customers
+        assert net.in_edges == in_edges
+        # the engine kernel indexes lists with these, as Python ints
+        for lists in (net.suppliers, net.customers, net.in_edges):
+            assert all(type(v) is int for row in lists for v in row)
+
 
 class TestWeights:
     def test_fixed_split_half(self):
