@@ -326,7 +326,8 @@ def track_activity(sim, thresholds):
     """Step a Simulation from its current step to completion, counting
     agents below each rescaled-profit threshold at every step (pre-cut,
     post-renormalization state, matching the activity column of
-    RunRecord; one sort per step serves all thresholds).  Returns a
+    RunRecord; counted per block of cuts on sparse update plans, with one
+    sort per step on dense ones, see Simulation._advance).  Returns a
     (steps, n_thresholds) array.
     """
     thr = np.atleast_1d(np.asarray(thresholds, dtype=np.float64))
@@ -379,6 +380,8 @@ def threshold_scan(net, wts, config, f0_grid=None, engine="incremental",
     sim = Simulation(net, wts, config, engine=engine)
     _advance_to(sim, config.transient_steps)
     counts = track_activity(sim, f0_grid)
+    # free the engine and its update plans before the per-threshold analysis
+    del sim
     entries = []
     for k, f0 in enumerate(f0_grid):
         y = counts[:, k]

@@ -22,7 +22,10 @@ from __future__ import annotations
 import math
 import os
 import struct
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -100,6 +103,27 @@ def affected_sets(net, changed):
     return AffectedSets(tuple(prod), tuple(dem), tuple(traded), tuple(profit))
 
 
+class _Plan:
+    """The affected_sets of every agent of a network, as `sets`.  It holds
+    the network, so that no other network takes its id while it lives."""
+
+    def __init__(self, net):
+        self.net = net
+        self.sets = [affected_sets(net, c) for c in range(net.n_agents)]
+
+
+# one plan per network, shared by the engines built on it while any of
+# them lives
+_PLANS = weakref.WeakValueDictionary()
+
+
+def _plan(net):
+    plan = _PLANS.get(id(net))
+    if plan is None:
+        plan = _PLANS[id(net)] = _Plan(net)
+    return plan
+
+
 # ----------------------------------------------------------------------
 # engines
 
@@ -143,7 +167,8 @@ class MarketEngine:
         self.touched_last = n  # profit recomputations in the last update
         self.recompute_all()
         if incremental:
-            self._affected = [affected_sets(net, c) for c in range(n)]
+            self._plan = _plan(net)
+            self._affected = self._plan.sets
 
     # -- the kernel --------------------------------------------------------
 
@@ -184,6 +209,25 @@ class MarketEngine:
 
     def recompute_all(self):
         self._update(*(range(self.n),) * 4)
+
+    # plans whose profit phases touch more than this share of the agents,
+    # on average, count a grid of thresholds faster with one sort per step
+    _SPARSE_SHARE = 1 / 8
+
+    @cached_property
+    def profit_index(self):
+        """The profit phase of each agent's plan as an index array, built on
+        first use; None for the full engine and for dense plans, where the
+        step loop counts the activity at every step."""
+        if not self.incremental:
+            return None
+        plans = self._affected
+        if sum(len(a.profit) for a in plans) > self._SPARSE_SHARE * self.n * self.n:
+            return None
+        # views into one array: an array apiece left about 0.3 MB more of
+        # the heap resident after a scan on RT32
+        flat = np.fromiter(chain.from_iterable(a.profit for a in plans), dtype=np.intp)
+        return np.split(flat, np.cumsum([len(a.profit) for a in plans[:-1]]))
 
     def apply_price_change(self, agent, new_price):
         """Set one price and update every quantity it affects."""
@@ -427,6 +471,69 @@ def load_checkpoint(path):
 
 
 # ----------------------------------------------------------------------
+# activity counts of a stretch of steps from the profits its cuts changed
+
+def _count_block(out, f0, means, start, olds, news):
+    """Fill out[j, k] with the number of profits below f0[k] * means[j]
+    at each step j of a stretch with no renormalisation, where `start` is
+    the profit vector of its first step and olds[j], news[j] are the
+    profits cut j touched, before and after it.
+
+    Cuts only lower the price sum, so means never rises and each threshold
+    column f0_k * means rises (f0_k <= 0) or falls (f0_k > 0).  A value
+    present from step b on therefore lies below a column over one interval
+    of steps: all steps from b on if it lies below the whole column, none
+    if it lies above, else the steps from b up to or from the step one
+    search finds.  The counts are the running sum of +1 and -1 marks at
+    the interval ends; values enter at the start or after a cut, and the
+    value a cut replaces leaves after it.
+    """
+    m = len(means)
+    width = m + 1
+    thr = np.multiply.outer(means, f0)
+    # values not below the highest threshold never count
+    top = thr.max()
+    values = np.concatenate([start, *news, *olds])
+    at = np.flatnonzero(values < top)
+    vals = values[at]
+    # the start values count from step 0; the values cut j writes (news)
+    # or replaces (olds) enter or leave at step j + 1
+    n, ends = len(start), np.cumsum([len(v) for v in olds])
+    since = np.where(at < n, 0, ends.searchsorted((at - n) % ends[-1], "right") + 1)
+    sign = np.where(at < n + ends[-1], 1.0, -1.0)
+    order = vals.argsort()
+    vals, since, sign = vals[order], since[order], sign[order]
+    # vals[:a[k]] lie below the whole of column k, vals[b[k]:] above it
+    rising = thr[0] <= thr[-1]
+    a = vals.searchsorted(np.where(rising, thr[0], thr[-1]))
+    b = vals.searchsorted(np.where(rising, thr[-1], thr[0]))
+    # values below a whole column count from their first step on: one
+    # histogram per group of values lying below the same columns, summed
+    # over the groups of each column's prefix
+    rank = np.argsort(a)
+    ranked = a[rank]
+    group = ranked.searchsorted(np.arange(ranked[-1]), "right")
+    marks = np.empty((len(a), width))
+    marks[rank] = np.bincount(group * width + since[:ranked[-1]], sign[:ranked[-1]],
+                              minlength=marks.size).reshape(marks.shape).cumsum(axis=0)
+    # values inside a column's range count over part of the steps
+    pos, weight = [], []
+    for k, col in enumerate(thr.T):
+        v, s, g = vals[a[k]:b[k]], since[a[k]:b[k]], sign[a[k]:b[k]]
+        if rising[k]:  # below from the first step past v on
+            pos.append(np.maximum(s, col.searchsorted(v, "right")) + k * width)
+            weight.append(g)
+        else:  # below until the first step at or under v
+            until = (-col).searchsorted(-v, "left")
+            inside = s < until
+            pos += [s[inside] + k * width, until[inside] + k * width]
+            weight += [g[inside], -g[inside]]
+    marks += np.bincount(np.concatenate(pos), np.concatenate(weight),
+                         minlength=marks.size).reshape(marks.shape)
+    out[...] = marks[:, :m].cumsum(axis=1).T
+
+
+# ----------------------------------------------------------------------
 # simulation driver
 
 class Simulation:
@@ -496,6 +603,13 @@ class Simulation:
         at most _BLOCK (rng.random(m) gives the doubles of m single draws);
         a block ends at every audit and checkpoint step.
 
+        A scalar threshold is counted at every step with one O(N) pass.  A
+        row of thresholds takes one sort per step on dense plans (the full
+        engine, or MarketEngine.profit_index None); on sparse ones the
+        loop logs the profits each cut touches, before and after it, and
+        counts the whole block from them at its end (_count_block), in a
+        new stretch after every renormalisation.  Both give the same counts.
+
         Returns per-step arrays (loser, min_profit, mean_price,
         renorm_flags, activity or None) and the last cut eta.
         """
@@ -509,6 +623,10 @@ class Simulation:
         activity = (None if activity_f0 is None else
                     np.empty((count,) + np.shape(activity_f0), dtype=np.int32))
         scalar = activity is not None and activity.ndim == 1
+        # a grid of thresholds on sparse plans is counted per block from the
+        # profits each cut touched (_count_block); one threshold, and dense
+        # plans, are counted at every step
+        index = None if activity is None or scalar else eng.profit_index
         if not checkpoint_path:
             checkpoint_every = 0
         t, k, eta = self._t, 0, None
@@ -518,6 +636,8 @@ class Simulation:
                 if every:
                     m = min(m, every - t % every)
             losers, mins, means = [], [], []
+            if index is not None:
+                first, start, olds, news = k, profit.copy(), [], []
             for j, eta in enumerate((eta_max * rng.random(m)).tolist(), k):
                 mp = eng.psum / n
                 if mp < level:
@@ -525,11 +645,21 @@ class Simulation:
                     p = eng.p
                     renorm[j] = True
                     mp = eng.psum / n
+                    if index is not None:
+                        # every profit was rescaled: count up to here and
+                        # start again from the renormalised profits
+                        if j > first:
+                            _count_block(activity[first:j], activity_f0, means[first - k:],
+                                         start, olds, news)
+                        first, start, olds, news = j, profit.copy(), [], []
                 loser = find_loser(profit)
                 losers.append(loser)
                 mins.append(profit[loser])
                 means.append(mp)
-                if scalar:
+                if index is not None:
+                    ix = index[loser]
+                    olds.append(profit[ix])
+                elif scalar:
                     # one threshold: an O(N) count is cheaper than the sort below
                     activity[j] = np.count_nonzero(profit < activity_f0 * mp)
                 elif activity is not None:
@@ -538,9 +668,14 @@ class Simulation:
                     ranked.sort()
                     activity[j] = ranked.searchsorted(activity_f0 * mp)
                 apply(loser, p[loser] * (1.0 - eta))
+                if index is not None:
+                    news.append(profit[ix])
             loser_idx[k:k + m] = losers
             min_profit[k:k + m] = mins
             mean_price[k:k + m] = means
+            if index is not None:
+                _count_block(activity[first:k + m], activity_f0, mean_price[first:k + m],
+                             start, olds, news)
             k += m
             t += m
             self._t = t
@@ -554,6 +689,9 @@ class Simulation:
     def resume(cls, net, wts, config, checkpoint_path, engine="incremental"):
         """Rebuild a simulation from a checkpoint; continues at step t."""
         t, prices, rng, psum, renorm_level = load_checkpoint(checkpoint_path)
+        if len(prices) != net.n_agents:
+            raise ValueError(f"{checkpoint_path}: checkpoint holds {len(prices)} agents, "
+                             f"the network has {net.n_agents}")
         sim = cls.__new__(cls)
         sim.net, sim.wts, sim.config = net, wts, config.validate()
         sim.engine_kind = engine

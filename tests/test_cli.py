@@ -381,6 +381,22 @@ class TestBuildCount:
             assert cli.main([cmd, "--config", cfg, "--run", record]) == 0, cmd
             assert calls == [], cmd
 
+    def test_quantile_threshold_builds_one_update_plan(self, tmp_path, monkeypatch):
+        # two simulations on one network (the quantile, then the run) share
+        # the incremental engine's per-agent plan
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.ini", RING_CFG.format(out=out).replace(
+            "f0 = -0.005", "f0_quantile = 0.05"))
+        calls = []
+        plan = sm.dynamics.affected_sets
+
+        def counting(net, changed):
+            calls.append(changed)
+            return plan(net, changed)
+        monkeypatch.setattr(sm.dynamics, "affected_sets", counting)
+        assert cli.main(["avalanche-stats", "--config", cfg]) == 0
+        assert sorted(calls) == list(range(24))
+
 
 class TestImports:
     # line fits are plain numpy; only the MLE cross-check imports scipy

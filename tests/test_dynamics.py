@@ -476,6 +476,95 @@ class TestStepLoop:
             assert np.array_equal(joined, getattr(full, name)), name
 
 
+def rt_lattice(L=32):
+    net = sm.build_corner_lattice(L, "RT")
+    return net, sm.assign_weights_fixed(net, 0.25)
+
+
+class TestBlockCount:
+    """A grid of thresholds on sparse plans is counted once per block of
+    cuts from the profits the cuts touched; it must equal the per-step
+    count of reference_loop over more than one block."""
+
+    # rising (negative), constant (zero) and falling (positive) threshold
+    # columns; at +-0.3 the profits are dense enough that some lie inside a
+    # column's range in most blocks
+    GRID = [-0.3, -0.004, -0.002, 0.0, 0.004, 0.3]
+
+    def test_sparse_plans_take_the_block_path(self):
+        net, wts = rt_lattice()
+        prices = 10.0 + np.random.default_rng(0).random(net.n_agents)
+        assert sm.MarketEngine(net, wts, prices).profit_index is not None
+        small, small_wts = rt_lattice(16)
+        assert sm.MarketEngine(small, small_wts, prices[:256]).profit_index is not None
+        assert sm.MarketEngine(net, wts, prices, incremental=False).profit_index is None
+        ring = sm.build_ring(30)
+        ring_wts = sm.assign_weights_fixed(ring, 0.4)
+        assert sm.MarketEngine(ring, ring_wts, prices[:30]).profit_index is None
+
+    # a renormalisation at every step recomputes every agent, so that case
+    # runs on a smaller lattice, just past one block
+    @pytest.mark.parametrize("renorm,L,steps", [
+        ("never", 32, 2500), ("mid_block", 32, 2500), ("every_step", 16, 1100)])
+    def test_grid_equals_reference_loop(self, renorm, L, steps):
+        net, wts = rt_lattice(L)
+        cfg = sm.SimConfig(total_steps=steps, transient_steps=0, seed=4, price_floor=0.4)
+        if renorm == "mid_block":
+            # prices start near a mean of 0.9, so a level 0.3 % below it is
+            # crossed once, some 600 cuts in, and not again after the prices
+            # are rescaled to a mean of 1
+            start = sm.Simulation(net, wts, cfg).engine
+            cfg = dataclasses.replace(cfg, renorm_threshold=0.997 * start.psum / start.n)
+        elif renorm == "every_step":
+            cfg = dataclasses.replace(cfg, renorm_threshold=1e9)
+        ref, ref_p, _ = reference_loop(net, wts, cfg, "incremental", self.GRID[1], self.GRID)
+        flags = np.flatnonzero(ref["renorm"])
+        if renorm == "mid_block":
+            assert len(flags) == 1 and flags[0] % sm.Simulation._BLOCK > 100
+        sim = sm.Simulation(net, wts, cfg)
+        assert sm.track_activity(sim, self.GRID).tolist() == ref["per_threshold"]
+        assert sim.engine.p == ref_p
+        # one threshold, as a grid of one and as a scalar
+        column = [[row[1]] for row in ref["per_threshold"]]
+        assert sm.track_activity(sm.Simulation(net, wts, cfg), self.GRID[1:2]).tolist() == column
+        rec = sm.Simulation(net, wts, cfg).run(activity_f0=self.GRID[1])
+        assert rec.activity.tolist() == ref["activity"]
+
+    def test_block_count_on_tied_values(self, rng):
+        # small integers make profits equal to thresholds, which are not
+        # below them, at every turn
+        f0 = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+        for _ in range(50):
+            n, m = int(rng.integers(1, 12)), int(rng.integers(1, 40))
+            means = np.sort(rng.integers(1, 6, m).astype(float))[::-1]
+            profit = rng.integers(-8, 9, n).astype(float)
+            start, olds, news, expected = profit.copy(), [], [], []
+            for j in range(m):
+                expected.append([np.count_nonzero(profit < x * means[j]) for x in f0])
+                ix = rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
+                olds.append(profit[ix])
+                profit[ix] = rng.integers(-8, 9, len(ix))
+                news.append(profit[ix])
+            out = np.empty((m, len(f0)), dtype=np.int32)
+            sm.dynamics._count_block(out, f0, means, start, olds, news)
+            assert out.tolist() == expected
+
+    def test_audit_and_checkpoint_cadence_with_resume(self, tmp_path):
+        net, wts = rt_lattice()
+        cfg = sm.SimConfig(total_steps=3000, transient_steps=0, seed=5)
+        ref, _, _ = reference_loop(net, wts, cfg, "incremental", -0.004, self.GRID)
+        # blocks end every 13 steps (audits) and every 700 (checkpoints);
+        # stop at 2050, resume from the checkpoint at 1400
+        ckpt = tmp_path / "ckpt.bin"
+        sim = sm.Simulation(net, wts, dataclasses.replace(cfg, total_steps=2050))
+        head = sim.run(activity_f0=np.array(self.GRID), audit_interval=13,
+                       checkpoint_path=ckpt, checkpoint_every=700)
+        assert sm.load_checkpoint(ckpt)[0] == 1400
+        tail = sm.track_activity(sm.Simulation.resume(net, wts, cfg, ckpt), self.GRID)
+        joined = np.concatenate([head.activity[:1400], tail])
+        assert joined.tolist() == ref["per_threshold"]
+
+
 class TestRecordSerialization:
     def test_text_roundtrip(self, tmp_path):
         net, wts, cfg = small_setup()
@@ -569,6 +658,15 @@ class TestCheckpointResume:
         assert np.array_equal(joined.loser_index, full.loser_index)
         assert np.array_equal(joined.min_profit, full.min_profit)
         assert np.array_equal(joined.mean_price, full.mean_price)
+
+    def test_resume_on_a_network_of_another_size_rejected(self, tmp_path):
+        net, wts, cfg = small_setup(n=10)
+        ckpt = tmp_path / "ckpt.bin"
+        sm.Simulation(net, wts, dataclasses.replace(cfg, total_steps=100)).run(
+            checkpoint_path=ckpt, checkpoint_every=50)
+        other, other_wts, _ = small_setup(n=12)
+        with pytest.raises(ValueError, match="holds 10 agents, the network has 12"):
+            sm.Simulation.resume(other, other_wts, cfg, ckpt)
 
     def test_checkpoint_roundtrip_fields(self, tmp_path):
         rng = np.random.default_rng(3)
