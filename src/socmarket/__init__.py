@@ -10,26 +10,19 @@ distributions, loser-jump distances, and the deflation rate.
 
 __version__ = "0.1.0"
 
-from .errors import (ConfigError, ConsistencyError, FitDomainError,
-                     MarketDomainError, StatisticsWarning, TopologyError)
+from .errors import ConfigError
 from .topology import (ExpenditureMatrix, TradeNetwork, assign_weights_fixed,
                        assign_weights_uniform, build_corner_lattice,
                        build_er_embedded, build_f_lattice, build_manhattan,
-                       build_network, build_ring, jump_distance, load_network,
-                       load_weights, save_network, save_weights)
-from .market import (MarketSnapshot, evaluate_market, expenditure_shares,
-                     intended_wants, net_demand, production_quantity, profits,
-                     traded_quantity, utility)
+                       build_ring)
+from .market import evaluate_market
 from .dynamics import (MarketEngine, RunRecord, SimConfig, Simulation,
                        affected_sets, find_loser, load_checkpoint, run,
                        save_checkpoint)
-from .analysis import (AvalancheEvent, AvalancheExponents,
-                       BinnedDistribution, GammaFit, JumpStats, PowerLawFit,
-                       ThresholdScan, ThresholdScanEntry, activity_signal,
-                       avalanche_exponents, extract_avalanches,
+from .analysis import (MFBP_TAU_S, AvalancheEvent, BinnedDistribution,
+                       PowerLawFit, avalanche_exponents, extract_avalanches,
                        fit_decay_rate, fit_power_law, fit_power_law_mle,
                        gamma_st, jump_distances, log_bin, loser_jump_stats,
-                       predicted_decay_rate, rescale_profits,
-                       rescale_profits_detrended, sample_discrete_power_law,
+                       predicted_decay_rate, sample_discrete_power_law,
                        scaling_relation_residual, stationary_profit_quantile,
-                       threshold_scan, track_activity, MFBP_TAU_S, MFBP_TAU_T)
+                       threshold_scan, track_activity)

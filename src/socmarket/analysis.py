@@ -1,10 +1,10 @@
 """Statistics extracted from run records.
 
-Covers the observables of the critical market state: rescaled stationary
-profits, the deflation rate, the activity signal and its avalanches,
-log-binned distributions with least-squares exponent fits (plus a discrete
-MLE cross-check), loser-jump distance statistics with the two-branch
-power-law fit, and the size/duration scaling relation.
+Covers the observables of the critical market state: the deflation rate,
+the avalanches of the activity signal, log-binned distributions with
+least-squares exponent fits (plus a discrete MLE cross-check), loser-jump
+distance statistics with the two-branch power-law fit, and the
+size/duration scaling relation.
 
 Mean-field branching-process exponents tau_S = 3/2 and tau_T = 2 are kept
 as reference constants for comparison; the market model is expected to
@@ -26,23 +26,7 @@ MFBP_TAU_T = 2.0
 
 
 # ----------------------------------------------------------------------
-# profit rescaling and deflation
-
-def rescale_profits(profits, mean_price):
-    """Divide profits by the instantaneous mean price.
-
-    Profits are degree-1 homogeneous in prices, so this removes the global
-    deflation trend exactly and leaves a stationary series.  Accepts a
-    (T,) series or a (T, N) stream.
-    """
-    s = np.asarray(profits, dtype=np.float64)
-    mp = np.asarray(mean_price, dtype=np.float64)
-    if np.any(mp <= 0.0):
-        raise ValueError("mean price must be strictly positive")
-    if s.ndim == 2:
-        return s / mp[:, None]
-    return s / mp
-
+# deflation
 
 def _linregress(x, y):
     """Least-squares line through (x, y): (slope, intercept, rvalue, stderr).
@@ -105,34 +89,8 @@ def predicted_decay_rate(n_agents, eta_max):
     return eta_mean / (n_agents * (1.0 - eta_mean))
 
 
-def rescale_profits_detrended(profits, mean_price, transient_steps=0):
-    """Alternative stationarizer: divide by the fitted exponential trend of
-    the mean price instead of the instantaneous mean.
-
-    Anchored at the start of the post-transient window.  Thresholds are
-    specific to the rescaling mode; the instantaneous-mean mode is the
-    primary one.
-    """
-    mp = np.asarray(mean_price, dtype=np.float64)
-    k = fit_decay_rate(mp[transient_steps:])
-    t = np.arange(mp.size) - transient_steps
-    trend = mp[transient_steps] * np.exp(-k * t)
-    s = np.asarray(profits, dtype=np.float64)
-    if s.ndim == 2:
-        return s / trend[:, None]
-    return s / trend
-
-
 # ----------------------------------------------------------------------
-# activity and avalanches
-
-def activity_signal(rescaled_profits, f0):
-    """Number of agents with rescaled profit below f0 at each step."""
-    s = np.asarray(rescaled_profits)
-    if s.ndim != 2:
-        raise ValueError("expected a (steps, agents) profit stream")
-    return np.count_nonzero(s < f0, axis=1).astype(np.int64)
-
+# avalanches
 
 class AvalancheEvent(NamedTuple):
     size: int

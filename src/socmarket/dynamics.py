@@ -334,6 +334,9 @@ class RunRecord:
     _WRITE_ROWS = 8192
 
     def save_text(self, path):
+        if self.activity is not None and self.activity.ndim != 1:
+            raise ValueError("the text format holds one activity column; "
+                             "a grid of thresholds cannot be saved")
         dim = 1 if self.embedding.ndim == 1 else self.embedding.shape[1]
         pos_cols = ["pos_x"] if dim == 1 else ["pos_x", "pos_y"]
         cols = ["t", "loser_idx"] + pos_cols + ["min_profit", "mean_price", "renorm_flag"]
@@ -547,7 +550,6 @@ class Simulation:
         if engine not in ("incremental", "full"):
             raise ValueError(f"engine must be incremental or full, got {engine!r}")
         self.net, self.wts, self.config = net, wts, config
-        self.engine_kind = engine
         self._rng = np.random.default_rng(config.seed)
         prices = config.price_floor + self._rng.random(net.n_agents)
         self._eng = MarketEngine(net, wts, prices, incremental=(engine == "incremental"))
@@ -694,7 +696,6 @@ class Simulation:
                              f"the network has {net.n_agents}")
         sim = cls.__new__(cls)
         sim.net, sim.wts, sim.config = net, wts, config.validate()
-        sim.engine_kind = engine
         sim._rng = rng
         sim._eng = MarketEngine(net, wts, prices, incremental=(engine == "incremental"))
         sim._eng.psum = psum

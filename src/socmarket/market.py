@@ -19,23 +19,13 @@ from .errors import MarketDomainError
 TWO_THIRDS = 2.0 / 3.0
 
 
-def _check_prices(prices, n):
-    p = np.asarray(prices, dtype=np.float64)
-    if p.shape != (n,):
-        raise MarketDomainError(f"expected {n} prices, got shape {p.shape}")
-    if not np.all(p > 0.0):
-        raise MarketDomainError("prices must be strictly positive")
-    return p
-
-
 @dataclass
 class MarketSnapshot:
     """Result of one full market evaluation.
 
     wants and shares are flat per-supplier-edge arrays aligned with
-    net.sup_idx; use wants_of/shares_of for the per-agent view.
+    net.sup_idx.
     """
-    net: object
     prices: np.ndarray
     production: np.ndarray
     wants: np.ndarray
@@ -44,66 +34,14 @@ class MarketSnapshot:
     shares: np.ndarray
     profit: np.ndarray
 
-    def wants_of(self, i):
-        return self.wants[self.net.sup_ptr[i]:self.net.sup_ptr[i + 1]]
-
-    def shares_of(self, i):
-        return self.shares[self.net.sup_ptr[i]:self.net.sup_ptr[i + 1]]
-
-
-def production_quantity(agent, prices, net, wts):
-    """Planned production of one agent: [sum_j sqrt(a_ij * p_i/p_j)]^(2/3)."""
-    p = _check_prices(prices, net.n_agents)
-    w = wts.row(agent)
-    ratios = p[agent] / p[net.suppliers[agent]]
-    return float(np.sum(np.sqrt(w * ratios)) ** TWO_THIRDS)
-
-
-def intended_wants(agent, production, prices, net, wts):
-    """Quantities agent plans to buy from each supplier: a_ij * P_ij * q_p."""
-    p = _check_prices(prices, net.n_agents)
-    w = wts.row(agent)
-    ratios = p[agent] / p[net.suppliers[agent]]
-    return w * ratios * production
-
-
-def net_demand(prices, net, wts, productions):
-    """Total demand for each agent's good: sum of its customers' wants."""
-    p = _check_prices(prices, net.n_agents)
-    ratios = p[net.row_agent] / p[net.sup_idx]
-    wants = wts.weights_flat * ratios * np.asarray(productions)[net.row_agent]
-    return np.bincount(net.sup_idx, weights=wants, minlength=net.n_agents)
-
-
-def traded_quantity(production, demand):
-    """Only the smaller of supply and demand changes hands."""
-    return min(production, demand)
-
-
-def expenditure_shares(wants, demands, net):
-    """Fraction b_ij of supplier j's sales going to customer i.
-
-    Zero where the supplier has no demand (nothing is traded there, so the
-    profit term vanishes anyway).
-    """
-    dj = np.asarray(demands)[net.sup_idx]
-    out = np.zeros_like(wants)
-    np.divide(wants, dj, out=out, where=dj > 0.0)
-    return out
-
-
-def profits(prices, traded, shares, net):
-    """Profit of each agent: earnings p_i*q_t minus expenditure on suppliers."""
-    p = _check_prices(prices, net.n_agents)
-    traded = np.asarray(traded)
-    contrib = shares * (p[net.sup_idx] * traded[net.sup_idx])
-    expend = np.add.reduceat(contrib, net.sup_ptr[:-1])
-    return p * traded - expend
-
 
 def evaluate_market(prices, net, wts):
     """Evaluate one full trading day and return a MarketSnapshot."""
-    p = _check_prices(prices, net.n_agents)
+    p = np.asarray(prices, dtype=np.float64)
+    if p.shape != (net.n_agents,):
+        raise MarketDomainError(f"expected {net.n_agents} prices, got shape {p.shape}")
+    if not np.all(p > 0.0):
+        raise MarketDomainError("prices must be strictly positive")
     ratios = p[net.row_agent] / p[net.sup_idx]
     prod_terms = wts.weights_flat * ratios
     sums = np.add.reduceat(np.sqrt(prod_terms), net.sup_ptr[:-1])
@@ -111,19 +49,15 @@ def evaluate_market(prices, net, wts):
     wants = prod_terms * production[net.row_agent]
     demand = np.bincount(net.sup_idx, weights=wants, minlength=net.n_agents)
     traded = np.minimum(production, demand)
-    shares = expenditure_shares(wants, demand, net)
-    profit = profits(p, traded, shares, net)
-    return MarketSnapshot(net=net, prices=p.copy(), production=production,
-                          wants=wants, demand=demand, traded=traded,
-                          shares=shares, profit=profit)
-
-
-def utility(production, consumptions):
-    """Utility of producing `production` and consuming `consumptions`:
-    -q^2/2 + sum_j 2*sqrt(q_ij).  Kept for optimization cross-checks; the
-    simulation itself only ever needs the closed-form optimum."""
-    q = float(production)
-    c = np.asarray(consumptions, dtype=np.float64)
-    if q < 0.0 or np.any(c < 0.0):
-        raise MarketDomainError("quantities must be nonnegative")
-    return -0.5 * q * q + 2.0 * float(np.sum(np.sqrt(c)))
+    # share b_ij of supplier j's sales going to customer i; zero where j has
+    # no demand (nothing is traded there, so the profit term vanishes anyway)
+    dj = demand[net.sup_idx]
+    shares = np.zeros_like(wants)
+    np.divide(wants, dj, out=shares, where=dj > 0.0)
+    # profit: earnings p_i*q_t minus expenditure on suppliers
+    contrib = shares * (p[net.sup_idx] * traded[net.sup_idx])
+    expend = np.add.reduceat(contrib, net.sup_ptr[:-1])
+    profit = p * traded - expend
+    return MarketSnapshot(prices=p.copy(), production=production, wants=wants,
+                          demand=demand, traded=traded, shares=shares,
+                          profit=profit)

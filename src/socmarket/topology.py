@@ -294,93 +294,3 @@ def assign_weights_uniform(net, rng):
     w = raw / sums[net.row_agent]
     return ExpenditureMatrix(net, w, "uniform_random")
 
-
-# ----------------------------------------------------------------------
-# distances
-
-def jump_distance(pos1, pos2, extents, mode="raw", metric="norm"):
-    """Distance between two embedded positions on a periodic domain.
-
-    mode="raw" uses the plain per-component absolute difference (values up
-    to L-1 occur); mode="min_image" wraps each component to at most half
-    the extent.  metric="norm" returns the Euclidean norm of the component
-    distances; metric="component" returns the first component's distance.
-    """
-    p1 = np.atleast_1d(np.asarray(pos1, dtype=np.float64))
-    p2 = np.atleast_1d(np.asarray(pos2, dtype=np.float64))
-    ext = np.atleast_1d(np.asarray(extents, dtype=np.float64))
-    if p1.shape != p2.shape or p1.shape != ext.shape:
-        raise TopologyError("position/extent dimension mismatch")
-    if np.any(p1 < 0) or np.any(p1 >= ext) or np.any(p2 < 0) or np.any(p2 >= ext):
-        raise TopologyError("coordinates must lie within the extents")
-    d = np.abs(p1 - p2)
-    if mode == "min_image":
-        d = np.minimum(d, ext - d)
-    elif mode != "raw":
-        raise TopologyError(f"unknown distance mode {mode!r}")
-    if metric == "norm":
-        return float(np.sqrt(np.sum(d * d)))
-    if metric == "component":
-        return float(d[0])
-    raise TopologyError(f"unknown distance metric {metric!r}")
-
-
-# ----------------------------------------------------------------------
-# plain-text serialization
-
-NET_MAGIC = "soc-market-net v1"
-WTS_MAGIC = "soc-market-wts v1"
-
-
-def save_network(net, path):
-    """Write a network in the line-oriented adjacency format."""
-    lines = [NET_MAGIC,
-             f"N {net.n_agents}",
-             f"KIND {net.kind}",
-             "EXTENTS " + " ".join(str(e) for e in net.extents)]
-    for i, row in enumerate(net.suppliers):
-        lines.append(f"{i} : " + " ".join(str(j) for j in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_network(path):
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != NET_MAGIC:
-        raise TopologyError(f"{path}: not a network file")
-    n = int(lines[1].split()[1])
-    kind = lines[2].split()[1]
-    extents = tuple(int(v) for v in lines[3].split()[1:])
-    suppliers = [None] * n
-    for ln in lines[4:]:
-        head, _, tail = ln.partition(":")
-        suppliers[int(head)] = [int(v) for v in tail.split()]
-    if len(extents) == 1:
-        embedding = np.arange(n)
-    else:
-        L = extents[0]
-        embedding = np.stack([np.arange(n) % L, np.arange(n) // L], axis=1)
-    return TradeNetwork(suppliers, embedding, extents, kind)
-
-
-def save_weights(wts, path):
-    """Write an expenditure matrix aligned with the supplier order."""
-    lines = [WTS_MAGIC]
-    for i in range(wts.net.n_agents):
-        lines.append(f"{i} : " + " ".join(repr(float(v)) for v in wts.row(i)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_weights(net, path, scheme="loaded"):
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != WTS_MAGIC:
-        raise TopologyError(f"{path}: not a weights file")
-    rows = [None] * net.n_agents
-    for ln in lines[1:]:
-        head, _, tail = ln.partition(":")
-        rows[int(head)] = [float(v) for v in tail.split()]
-    flat = np.concatenate([np.asarray(r) for r in rows])
-    return ExpenditureMatrix(net, flat, scheme)

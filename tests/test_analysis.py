@@ -6,37 +6,6 @@ from socmarket.analysis import _linregress
 from socmarket.errors import FitDomainError, StatisticsWarning
 
 
-class TestRescaleProfits:
-    def test_division_by_constant(self):
-        s = np.array([[1.0, -2.0], [3.0, 4.0]])
-        mp = np.array([2.0, 2.0])
-        assert np.array_equal(sm.rescale_profits(s, mp), s / 2.0)
-
-    def test_invariant_under_global_scaling(self, rng):
-        s = rng.normal(size=(50, 8))
-        mp = rng.uniform(5, 15, 50)
-        lam = 123.4
-        a = sm.rescale_profits(s, mp)
-        b = sm.rescale_profits(lam * s, lam * mp)
-        assert np.allclose(a, b, rtol=1e-12)
-
-    def test_rejects_nonpositive_mean_price(self):
-        with pytest.raises(ValueError):
-            sm.rescale_profits(np.ones(3), np.array([1.0, 0.0, 2.0]))
-
-    def test_min_profit_series_shape(self):
-        out = sm.rescale_profits(np.array([-1.0, -2.0]), np.array([10.0, 5.0]))
-        assert out == pytest.approx([-0.1, -0.4])
-
-    def test_detrended_mode_removes_exponential(self):
-        t = np.arange(5000)
-        mp = 10.0 * np.exp(-1e-4 * t)
-        s = -0.05 * mp  # profits carry the same trend
-        out = sm.rescale_profits_detrended(s, mp, transient_steps=100)
-        assert np.std(out[100:]) < 1e-9
-        assert out[100] == pytest.approx(-0.05, rel=1e-6)
-
-
 class TestDecayRate:
     def test_exact_exponential(self):
         t = np.arange(20000)
@@ -65,22 +34,6 @@ class TestDecayRate:
             0.005 / (100 * 0.995))
         assert sm.predicted_decay_rate(200, 0.01) == pytest.approx(
             sm.predicted_decay_rate(100, 0.01) / 2)
-
-
-class TestActivitySignal:
-    def test_all_above_threshold(self):
-        s = np.full((10, 4), 0.5)
-        assert np.array_equal(sm.activity_signal(s, -0.042), np.zeros(10))
-
-    def test_caption_style_threshold(self):
-        s = np.array([[-0.05, 0.01]])
-        assert sm.activity_signal(s, -0.042)[0] == 1
-
-    def test_threshold_monotonicity(self, rng):
-        s = rng.normal(scale=0.05, size=(200, 30))
-        y_hi = sm.activity_signal(s, -0.01)
-        y_lo = sm.activity_signal(s, -0.03)  # more negative, stricter
-        assert np.all(y_lo <= y_hi)
 
 
 class TestExtractAvalanches:
@@ -247,6 +200,40 @@ def _record_from_positions(ids, extents, kind="corner_rt", transient=0):
         n_agents=n, extents=tuple(extents), transient_steps=transient,
         loser_index=ids, min_profit=np.zeros(T), mean_price=np.ones(T),
         renorm_flags=np.zeros(T, dtype=bool), embedding=emb, kind=kind)
+
+
+class TestJumpDistances:
+    # agent id = x + y*L on the lattices, so (x, y) is x + 10*y here
+    def test_1d_raw_and_min_image(self):
+        rec = _record_from_positions([1, 9], (10,), kind="ring")
+        assert sm.jump_distances(rec, mode="raw").tolist() == [8.0]
+        assert sm.jump_distances(rec, mode="min_image").tolist() == [2.0]
+
+    def test_2d_norm(self):
+        rec = _record_from_positions([3, 0, 55], (10, 10))
+        d = sm.jump_distances(rec)
+        assert d[0] == 3.0
+        assert d[1] == pytest.approx(np.sqrt(50))
+
+    def test_component_metric(self):
+        rec = _record_from_positions([30, 64], (10, 10))
+        assert sm.jump_distances(rec, metric="component").tolist() == [4.0]
+
+    def test_symmetry(self, rng):
+        for _ in range(50):
+            L = int(rng.integers(4, 20))
+            ids = rng.integers(0, L * L, size=20)
+            for mode in ("raw", "min_image"):
+                forth = sm.jump_distances(_record_from_positions(ids, (L, L)), mode=mode)
+                back = sm.jump_distances(_record_from_positions(ids[::-1], (L, L)),
+                                         mode=mode)
+                assert np.array_equal(forth, back[::-1])
+
+    @pytest.mark.parametrize("kw", [dict(mode="wrapped"), dict(metric="max")])
+    def test_unknown_mode_or_metric(self, kw):
+        rec = _record_from_positions([0, 3], (10, 10))
+        with pytest.raises(ValueError):
+            sm.jump_distances(rec, **kw)
 
 
 class TestJumpStats:

@@ -280,18 +280,16 @@ class TestRun:
         wts = sm.assign_weights_fixed(net, 0.5)
         cfg = sm.SimConfig(total_steps=50, transient_steps=5, seed=0)
         rec = sm.run(net, wts, cfg)
-        pos = rec.positions
-        for k in range(len(pos) - 1):
-            d = sm.jump_distance(pos[k], pos[k + 1], rec.extents)
-            assert d >= 0.0
+        d = sm.jump_distances(rec)
+        assert d.shape == (len(rec.post(rec.positions)) - 1,)
+        assert np.all(d >= 0.0)
 
     def test_activity_column_matches_offline_signal(self):
         net, wts, cfg = small_setup()
         f0 = -0.004
         rec = sm.run(net, wts, cfg, activity_f0=f0)
         rows = profit_rows(sm.Simulation(net, wts, cfg))
-        rescaled = sm.rescale_profits(rows, rec.mean_price)
-        offline = sm.activity_signal(rescaled, f0)
+        offline = np.count_nonzero(rows / rec.mean_price[:, None] < f0, axis=1)
         assert np.array_equal(rec.activity, offline)
 
     @pytest.mark.parametrize("renorm_threshold", [None, 1e9])
@@ -599,6 +597,22 @@ class TestRecordSerialization:
         sm.run(net, wts, cfg).save_text(p1)
         sm.run(net, wts, cfg).save_text(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_grid_activity_is_refused(self, tmp_path):
+        # the text format has one activity column: a run over a grid of
+        # thresholds must not leave a file that load_text cannot read
+        net, wts, cfg = small_setup()
+        grid = sm.run(net, wts, cfg, activity_f0=np.array([-0.004, 0.0]))
+        path = tmp_path / "run.txt"
+        with pytest.raises(ValueError):
+            grid.save_text(path)
+        assert not path.exists()
+        rec = sm.run(net, wts, cfg, activity_f0=-0.004)
+        rec.save_text(path)
+        back = sm.RunRecord.load_text(path)
+        assert np.array_equal(back.activity, rec.activity)
+        assert np.array_equal(back.activity, grid.activity[:, 0])
+        assert back.activity_f0 == -0.004
 
     @pytest.mark.parametrize("net,with_activity", [
         (sm.build_ring(50), True),

@@ -42,42 +42,46 @@ def symmetric_ring(n=5, a=0.5, price=10.0):
     return net, wts, np.full(n, price)
 
 
+def production(prices, net, wts):
+    return sm.evaluate_market(prices, net, wts).production
+
+
 class TestProduction:
     def test_single_supplier_unit(self):
         net = sm.TradeNetwork([[1], [0]], np.arange(2), (2,), "custom")
         wts = sm.ExpenditureMatrix(net, np.ones(2), "fixed")
         p = np.array([3.0, 3.0])
-        assert sm.production_quantity(0, p, net, wts) == pytest.approx(1.0)
+        assert production(p, net, wts)[0] == pytest.approx(1.0)
 
     def test_equal_split_equal_prices(self):
         net, wts, p = symmetric_ring()
         # frozen from the 1D maximization oracle (scipy bounded minimizer
         # of -u(q)); agrees with 2**(1/3)
-        assert sm.production_quantity(0, p, net, wts) == pytest.approx(
-            1.2599210498948732, abs=1e-12)
+        assert production(p, net, wts) == pytest.approx(
+            np.full(5, 1.2599210498948732), abs=1e-12)
 
     def test_quarter_split_equal_prices(self):
         net, wts, p = symmetric_ring(a=0.25)
         # frozen from the same oracle: argmax of -q^2/2 + 2 sqrt(0.25 q) + 2 sqrt(0.75 q)
-        assert sm.production_quantity(0, p, net, wts) == pytest.approx(
-            1.2311354891647142, abs=1e-12)
+        assert production(p, net, wts) == pytest.approx(
+            np.full(5, 1.2311354891647142), abs=1e-12)
 
     def test_rejects_nonpositive_price(self):
         net, wts, p = symmetric_ring()
         p[3] = 0.0
         with pytest.raises(MarketDomainError):
-            sm.production_quantity(0, p, net, wts)
+            sm.evaluate_market(p, net, wts)
 
     def test_optimum_beats_grid(self, rng):
-        # the closed form must maximize utility over a dense grid for
-        # random spending splits and price ratios
+        # the closed form must maximize the utility -q^2/2 + sum_j 2 sqrt(q_ij)
+        # over a dense grid for random spending splits and price ratios
         for _ in range(100):
             k = int(rng.integers(1, 6))
             a = rng.random(k) + 0.05
             a /= a.sum()
             ratios = rng.uniform(0.2, 5.0, k)
             q_star = np.sum(np.sqrt(a * ratios)) ** (2.0 / 3.0)
-            u_star = sm.utility(q_star, a * ratios * q_star)
+            u_star = -0.5 * q_star * q_star + 2.0 * np.sum(np.sqrt(a * ratios * q_star))
             grid = np.linspace(q_star / 4, 4 * q_star, 2000)
             u_grid = -0.5 * grid ** 2 + 2 * np.sqrt(grid) * np.sum(np.sqrt(a * ratios))
             assert u_grid.max() <= u_star + 1e-12 * max(1.0, abs(u_star))
@@ -90,28 +94,28 @@ class TestProduction:
                 continue
             cheaper = prices.copy()
             cheaper[j] *= 0.9
+            before = production(prices, net, wts)
+            after = production(cheaper, net, wts)
             for i in net.customers[j]:
                 w = wts.row(i)[net.suppliers[i].index(j)]
                 if w > 0:
-                    assert (sm.production_quantity(i, cheaper, net, wts)
-                            > sm.production_quantity(i, prices, net, wts))
+                    assert after[i] > before[i]
 
 
 class TestWants:
     def test_symmetric_ring_wants(self):
         net, wts, p = symmetric_ring()
-        q = sm.production_quantity(0, p, net, wts)
-        w = sm.intended_wants(0, q, p, net, wts)
-        assert w == pytest.approx([2.0 ** (-2.0 / 3.0)] * 2, abs=1e-12)
+        w = sm.evaluate_market(p, net, wts).wants
+        assert w == pytest.approx(np.full(net.n_edges, 2.0 ** (-2.0 / 3.0)), abs=1e-12)
 
     def test_zero_weight_edge(self):
         net = sm.TradeNetwork([[1, 2], [0, 2], [0, 1]], np.arange(3), (3,), "custom")
         wts = sm.ExpenditureMatrix(net, np.array([0.0, 1.0, 0.5, 0.5, 1.0, 0.0]),
                                    "custom")
         p = np.array([7.0, 9.0, 11.0])
-        q = sm.production_quantity(0, p, net, wts)
-        w = sm.intended_wants(0, q, p, net, wts)
-        assert w[0] == 0.0
+        w = sm.evaluate_market(p, net, wts).wants
+        assert w[0] == 0.0 and w[5] == 0.0
+        assert np.all(w[1:5] > 0.0)
 
     def test_global_scaling_leaves_wants(self, rng):
         net, wts, prices = random_instance(rng)
@@ -149,11 +153,6 @@ class TestDemandTradeShares:
             net, wts, prices = random_instance(rng)
             snap = sm.evaluate_market(prices, net, wts)
             assert snap.demand.sum() == pytest.approx(snap.wants.sum(), rel=1e-12)
-
-    def test_traded_quantity(self):
-        assert sm.traded_quantity(1.26, 1.26) == 1.26
-        assert sm.traded_quantity(2.0, 0.5) == 0.5
-        assert sm.traded_quantity(0.0, 3.0) == 0.0
 
     def test_symmetric_shares_are_half(self):
         net, wts, p = symmetric_ring()
@@ -252,41 +251,3 @@ class TestEvaluateMarket:
         snap2 = sm.evaluate_market(prices[inv], net2, wts2)
         assert snap2.production == pytest.approx(snap.production[inv], rel=1e-12)
         assert snap2.profit == pytest.approx(snap.profit[inv], rel=1e-9, abs=1e-12)
-
-    def test_composes_the_operations(self, rng):
-        net, wts, prices = random_instance(rng)
-        snap = sm.evaluate_market(prices, net, wts)
-        for i in range(net.n_agents):
-            q = sm.production_quantity(i, prices, net, wts)
-            assert q == pytest.approx(snap.production[i], rel=1e-12)
-            w = sm.intended_wants(i, q, prices, net, wts)
-            assert w == pytest.approx(snap.wants_of(i), rel=1e-12)
-        assert sm.net_demand(prices, net, wts, snap.production) == pytest.approx(
-            snap.demand, rel=1e-12, abs=1e-300)
-
-
-class TestUtility:
-    def test_zero(self):
-        assert sm.utility(0.0, [0.0]) == 0.0
-
-    def test_simple_value(self):
-        assert sm.utility(1.0, [1.0]) == pytest.approx(1.5)
-
-    def test_negative_quantity_rejected(self):
-        with pytest.raises(MarketDomainError):
-            sm.utility(-1.0, [0.5])
-        with pytest.raises(MarketDomainError):
-            sm.utility(1.0, [-0.5])
-
-    def test_optimum_dominates_nearby_scalings(self, rng):
-        # at the closed-form optimum, scaling production (and the
-        # budget-implied consumption with it) can only lower utility
-        for _ in range(50):
-            k = int(rng.integers(1, 5))
-            a = rng.random(k) + 0.05
-            a /= a.sum()
-            ratios = rng.uniform(0.2, 5.0, k)
-            q = np.sum(np.sqrt(a * ratios)) ** (2.0 / 3.0)
-            u0 = sm.utility(q, a * ratios * q)
-            for eps in (0.99, 1.01):
-                assert sm.utility(q * eps, a * ratios * q * eps) < u0

@@ -283,56 +283,3 @@ class TestWeights:
             assert np.max(np.abs(sums - 1.0)) <= 1e-12
             assert np.all(wts.weights_flat >= 0.0)
 
-
-class TestJumpDistance:
-    def test_1d_raw_and_min_image(self):
-        assert sm.jump_distance(1, 9, 10, mode="raw") == 8
-        assert sm.jump_distance(1, 9, 10, mode="min_image") == 2
-
-    def test_2d_norm(self):
-        assert sm.jump_distance((0, 0), (3, 0), (10, 10)) == 3.0
-        assert sm.jump_distance((0, 0), (5, 5), (10, 10)) == pytest.approx(np.sqrt(50))
-
-    def test_component_metric(self):
-        assert sm.jump_distance((0, 3), (4, 6), (10, 10), metric="component") == 4.0
-
-    def test_symmetry(self, rng):
-        for _ in range(50):
-            ext = (int(rng.integers(4, 20)), int(rng.integers(4, 20)))
-            p = (int(rng.integers(ext[0])), int(rng.integers(ext[1])))
-            q = (int(rng.integers(ext[0])), int(rng.integers(ext[1])))
-            for mode in ("raw", "min_image"):
-                assert sm.jump_distance(p, q, ext, mode=mode) == \
-                    sm.jump_distance(q, p, ext, mode=mode)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(TopologyError):
-            sm.jump_distance((1, 2), (0, 1, 3), (5, 5))
-
-    def test_out_of_range(self):
-        with pytest.raises(TopologyError):
-            sm.jump_distance(11, 2, 10)
-
-
-class TestSerialization:
-    def test_network_roundtrip(self, rng, tmp_path):
-        for _ in range(8):
-            net, wts, _ = random_instance(rng)
-            npath = tmp_path / "net.txt"
-            wpath = tmp_path / "wts.txt"
-            sm.save_network(net, npath)
-            back = sm.load_network(npath)
-            assert back.suppliers == net.suppliers
-            assert back.customers == net.customers
-            assert back.kind == net.kind
-            assert back.extents == net.extents
-            assert np.array_equal(back.embedding, net.embedding)
-            sm.save_weights(wts, wpath)
-            wback = sm.load_weights(back, wpath)
-            assert np.array_equal(wback.weights_flat, wts.weights_flat)
-
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "x.txt"
-        p.write_text("nonsense\n")
-        with pytest.raises(TopologyError):
-            sm.load_network(p)
