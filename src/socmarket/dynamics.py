@@ -5,7 +5,7 @@ loser), cut its price by a random factor eta in [0, eta_max), record the
 step, repeat.  Simulation._advance is the one loop that runs these steps.
 Two interchangeable engines drive the evaluation:
 
-* full        -- recompute every agent each step (reference, O(N) per step)
+* full        -- market.evaluate_market over every agent each step (O(N))
 * incremental -- after a single price change, recompute only the affected
                  neighborhood (production and wants of the changed agent
                  and its customers; demands of that set's suppliers; trades
@@ -13,8 +13,9 @@ Two interchangeable engines drive the evaluation:
                  The neighborhood depends on the network alone, so the
                  engine precomputes it once per agent from affected_sets.
 
-Both engines run the same scalar arithmetic in the same order, so their
-loser sequences agree exactly, not just within tolerance.
+Engine construction and renormalisation evaluate the full market too.  The
+incremental kernel repeats evaluate_market's arithmetic in its order, so the
+engines' loser sequences agree exactly, not just within tolerance.
 """
 
 from __future__ import annotations
@@ -134,17 +135,14 @@ class MarketEngine:
     demands, trades); profits live in the numpy array `profit`, the one
     place the step reads the loser (find_loser) and the activity from.
 
+    `recompute_all` writes evaluate_market's arrays into the state;
     `_update` runs the four phases (production and wants, demand, traded,
-    profit) over a phase plan: one sequence of agents per phase.
-    `recompute_all` is the plan over all agents; the incremental engine
-    runs the precomputed affected_sets of the changed agent instead.
+    profit) over the changed agent's affected_sets, with evaluate_market's
+    arithmetic in its order, so both give the same bits.
     """
 
     def __init__(self, net, wts, prices, incremental=True):
         n = net.n_agents
-        p = np.asarray(prices, dtype=np.float64)
-        if p.shape != (n,) or not np.all(p > 0.0):
-            raise MarketDomainError("need one strictly positive price per agent")
         self.net = net
         self.wts = wts
         self.n = n
@@ -156,16 +154,11 @@ class MarketEngine:
         self._edges = [pairs[ptr[i]:ptr[i + 1]] for i in range(n)]
         self._in_edges = net.in_edges
         self._w = wts.weights_flat.tolist()
-        # state
-        self.p = p.tolist()
-        self.psum = math.fsum(self.p)
-        self.qp = [0.0] * n
-        self.wants = [0.0] * net.n_edges
-        self.qW = [0.0] * n
-        self.qt = [0.0] * n
+        # state; evaluate_market rejects a wrong shape or a price <= 0
+        self.p = np.asarray(prices, dtype=np.float64).tolist()
         self.profit = np.zeros(n)
-        self.touched_last = n  # profit recomputations in the last update
         self.recompute_all()
+        self.psum = math.fsum(self.p)
         if incremental:
             self._plan = _plan(net)
             self._affected = self._plan.sets
@@ -208,7 +201,15 @@ class MarketEngine:
         self.touched_last = len(profit)
 
     def recompute_all(self):
-        self._update(*(range(self.n),) * 4)
+        """Take the whole state from evaluate_market; `profit` is written in
+        place, since the step loop holds it."""
+        snap = evaluate_market(self.p, self.net, self.wts)
+        self.qp = snap.production.tolist()
+        self.wants = snap.wants.tolist()
+        self.qW = snap.demand.tolist()
+        self.qt = snap.traded.tolist()
+        self.profit[:] = snap.profit
+        self.touched_last = self.n  # profit recomputations in the last update
 
     # plans whose profit phases touch more than this share of the agents,
     # on average, count a grid of thresholds faster with one sort per step
@@ -253,18 +254,16 @@ class MarketEngine:
 
     # -- validation ------------------------------------------------------
 
-    def audit(self, rtol=1e-10):
-        """Compare state against a fresh vectorized evaluation."""
-        snap = evaluate_market(np.asarray(self.p), self.net, self.wts)
+    def audit(self):
+        """Demand that the state equal a fresh evaluate_market bit for bit."""
+        snap = evaluate_market(self.p, self.net, self.wts)
         for name, mine, ref in (("production", self.qp, snap.production),
                                 ("wants", self.wants, snap.wants),
                                 ("demand", self.qW, snap.demand),
                                 ("traded", self.qt, snap.traded),
                                 ("profit", self.profit, snap.profit)):
-            mine = np.asarray(mine)
-            scale = max(1.0, float(np.max(np.abs(ref))))
-            err = float(np.max(np.abs(mine - ref)))
-            if err > rtol * scale:
+            if not np.array_equal(mine, ref):
+                err = float(np.max(np.abs(np.subtract(mine, ref))))
                 raise ConsistencyError(
                     f"incremental state diverged on {name}: max err {err:.3e}")
 

@@ -3,9 +3,9 @@
 Every agent plans production q_p = [sum_j sqrt(a_ij * p_i/p_j)]^(2/3), the
 closed-form maximizer of the utility -q^2/2 + sum_j 2*sqrt(q_ij) under the
 budget p_i*q_i = sum_j p_j*q_ij with fixed spending fractions a_ij.  Wants,
-demands, traded quantities, expenditure shares and profits follow.  The
-evaluation here is the global reference; the incremental engine in
-`dynamics` is validated against it.
+demands, traded quantities, expenditure shares and profits follow.  This is
+the one full evaluation; the incremental kernel in `dynamics` repeats its
+arithmetic in its order, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ class MarketSnapshot:
     wants and shares are flat per-supplier-edge arrays aligned with
     net.sup_idx.
     """
-    prices: np.ndarray
     production: np.ndarray
     wants: np.ndarray
     demand: np.ndarray
@@ -42,10 +41,15 @@ def evaluate_market(prices, net, wts):
         raise MarketDomainError(f"expected {net.n_agents} prices, got shape {p.shape}")
     if not np.all(p > 0.0):
         raise MarketDomainError("prices must be strictly positive")
-    ratios = p[net.row_agent] / p[net.sup_idx]
-    prod_terms = wts.weights_flat * ratios
-    sums = np.add.reduceat(np.sqrt(prod_terms), net.sup_ptr[:-1])
-    production = sums ** TWO_THIRDS
+    # agents' edge ids as columns of a (max degree, N) matrix, short ones
+    # padded with an appended zero: summing over axis 0 adds each row left
+    # to right, and float ** is libm pow, both as in the engine's kernel
+    deg = np.diff(net.sup_ptr)
+    slot = np.arange(deg.max())[:, None]
+    padded = np.where(slot < deg, net.sup_ptr[:-1] + slot, net.n_edges)
+    prod_terms = wts.weights_flat * (p[net.row_agent] / p[net.sup_idx])
+    sums = np.append(np.sqrt(prod_terms), 0.0)[padded].sum(axis=0)
+    production = np.array([s ** TWO_THIRDS for s in sums.tolist()])
     wants = prod_terms * production[net.row_agent]
     demand = np.bincount(net.sup_idx, weights=wants, minlength=net.n_agents)
     traded = np.minimum(production, demand)
@@ -56,8 +60,7 @@ def evaluate_market(prices, net, wts):
     np.divide(wants, dj, out=shares, where=dj > 0.0)
     # profit: earnings p_i*q_t minus expenditure on suppliers
     contrib = shares * (p[net.sup_idx] * traded[net.sup_idx])
-    expend = np.add.reduceat(contrib, net.sup_ptr[:-1])
+    expend = np.append(contrib, 0.0)[padded].sum(axis=0)
     profit = p * traded - expend
-    return MarketSnapshot(prices=p.copy(), production=production, wants=wants,
-                          demand=demand, traded=traded, shares=shares,
-                          profit=profit)
+    return MarketSnapshot(production=production, wants=wants, demand=demand,
+                          traded=traded, shares=shares, profit=profit)

@@ -117,10 +117,6 @@ class TradeNetwork:
         """Number of suppliers of agent i."""
         return len(self.suppliers[i])
 
-    def positions(self, agents):
-        """Embedding coordinates for an array of agent indices."""
-        return self.embedding[np.asarray(agents)]
-
     def __repr__(self):
         return (f"TradeNetwork(kind={self.kind!r}, n_agents={self.n_agents}, "
                 f"n_edges={self.n_edges}, extents={self.extents})")
