@@ -6,9 +6,9 @@ least-squares exponent fits (plus a discrete MLE cross-check), loser-jump
 distance statistics with the two-branch power-law fit, and the
 size/duration scaling relation.
 
-Mean-field branching-process exponents tau_S = 3/2 and tau_T = 2 are kept
-as reference constants for comparison; the market model is expected to
-deviate from them.
+The mean-field branching-process size exponent tau_S = 3/2 is kept as a
+reference constant for comparison; the market model is expected to
+deviate from it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 from .errors import FitDomainError, StatisticsWarning
 
 MFBP_TAU_S = 1.5
-MFBP_TAU_T = 2.0
 
 
 # ----------------------------------------------------------------------
@@ -248,30 +247,43 @@ DEFAULT_DURATION_RANGE = (10.0, 100.0)
 
 @dataclass
 class AvalancheExponents:
-    tau_s: PowerLawFit
-    tau_t: PowerLawFit
-    gamma: GammaFit
-    relation_residual: float
-    relation_stderr: float
+    sizes: BinnedDistribution
+    durations: BinnedDistribution
+    tau_s: Optional[PowerLawFit]
+    tau_t: Optional[PowerLawFit]
+    gamma: Optional[GammaFit]
     n_events: int
+    errors: dict  # "tau_s", "tau_t" or "gamma" -> why that fit is None
+    relation_residual: Optional[float] = None
+    relation_stderr: Optional[float] = None
 
 
 def avalanche_exponents(events, size_range=DEFAULT_SIZE_RANGE,
-                        duration_range=DEFAULT_DURATION_RANGE,
-                        min_events=1000):
-    """Size and duration exponents, gamma, and the scaling-relation check
-    for one set of avalanche events."""
-    if len(events) < min_events:
-        raise FitDomainError(f"need {min_events} events, got {len(events)}")
-    sizes = np.array([e.size for e in events])
-    durations = np.array([e.duration for e in events])
-    tau_s = fit_power_law(log_bin(sizes), size_range)
-    tau_t = fit_power_law(log_bin(durations), duration_range)
-    gamma = gamma_st(events, min_events=min_events)
-    resid, comb = scaling_relation_residual(tau_s, tau_t, gamma)
-    return AvalancheExponents(tau_s=tau_s, tau_t=tau_t, gamma=gamma,
-                              relation_residual=resid, relation_stderr=comb,
-                              n_events=len(events))
+                        duration_range=DEFAULT_DURATION_RANGE):
+    """Log-binned size and duration distributions of nonempty avalanche
+    events, their exponents, gamma and the scaling relation.  The event
+    count gates no fit: a fit that fails is None, with its FitDomainError
+    message in errors, and the relation is set only when all three fit."""
+    errors = {}
+
+    def attempt(name, fit, *args, **kwargs):
+        try:
+            return fit(*args, **kwargs)
+        except FitDomainError as exc:
+            errors[name] = str(exc)
+
+    sizes = log_bin(np.array([e.size for e in events]))
+    durations = log_bin(np.array([e.duration for e in events]))
+    out = AvalancheExponents(
+        sizes=sizes, durations=durations,
+        tau_s=attempt("tau_s", fit_power_law, sizes, size_range),
+        tau_t=attempt("tau_t", fit_power_law, durations, duration_range),
+        gamma=attempt("gamma", gamma_st, events, min_events=0),
+        n_events=len(events), errors=errors)
+    if not errors:
+        out.relation_residual, out.relation_stderr = scaling_relation_residual(
+            out.tau_s, out.tau_t, out.gamma)
+    return out
 
 
 def _advance_to(sim, t, chunk=8192):
@@ -302,7 +314,6 @@ THRESHOLD_GRID_UNITS = (0.75, 0.82, 0.88, 0.94, 1.0, 1.06, 1.13, 1.2)
 class ThresholdScanEntry:
     f0: float
     n_events: int
-    mean_activity: float
     zero_fraction: float
     tau_s: Optional[PowerLawFit]
     note: str = ""
@@ -346,7 +357,6 @@ def threshold_scan(net, wts, config, f0_grid=None, engine="incremental",
         events = extract_avalanches(y)
         entry = ThresholdScanEntry(
             f0=float(f0), n_events=len(events),
-            mean_activity=float(y.mean()),
             zero_fraction=float(np.mean(y == 0)), tau_s=None)
         if len(events) < min_events:
             entry.note = "too few events"
@@ -376,7 +386,6 @@ class JumpStats:
     by unwrapped distances of near-boundary pairs.
     """
     distances: np.ndarray
-    extent: float
     mode: str
     metric: str
     cumulative_x: np.ndarray
@@ -389,24 +398,21 @@ class JumpStats:
         return len(self.distances)
 
 
-def _fit_branch(samples, fit_range, support_hi, min_points):
-    """Log-binned density fit of one distance branch.  Distances are
-    rounded to integers first, which merges the near-degenerate lattice
-    norms and smooths the annulus-count oscillations.  Bins truncated by
-    the branch support (hi beyond support_hi) are excluded, since their
-    density estimate misses part of the bin."""
+def _fit_branch(samples, half):
+    """Log-binned density fit of one distance branch on [1, L/2].
+    Distances are rounded to integers first, which merges the
+    near-degenerate lattice norms and smooths the annulus-count
+    oscillations.  Bins truncated by the branch support (hi beyond L/2)
+    are excluded, since their density estimate misses part of the bin."""
     v = np.rint(samples).astype(np.int64)
     v = v[v >= 1]
     if v.size == 0:
         raise FitDomainError("no samples in the branch")
     dist = log_bin(v)
-    hi = min(fit_range[1], support_hi)
-    complete = dist.bin_hi <= hi
+    complete = dist.bin_hi <= half
     if not complete.any():
         raise FitDomainError("no complete bins within the branch support")
-    upper = float(dist.x[complete][-1])
-    return fit_power_law(dist, (fit_range[0], min(fit_range[1], upper)),
-                         min_points=min_points)
+    return fit_power_law(dist, (1.0, float(dist.x[complete][-1])))
 
 
 def jump_distances(record, mode="raw", metric="norm"):
@@ -427,16 +433,16 @@ def jump_distances(record, mode="raw", metric="norm"):
     raise ValueError(f"unknown distance metric {metric!r}")
 
 
-def loser_jump_stats(record, mode="raw", metric="norm", pi1_range=None,
-                     pi2_range=None, min_jumps=1000, min_points=3):
+def loser_jump_stats(record, mode="raw", metric="norm"):
     """Jump-distance distribution with the two-branch power-law fit.
 
     pi1 is fitted on distances xi in [1, L/2]; pi2 on u = |L - xi| for the
     samples with xi > L/2.  Zero jumps (repeated loser) are excluded from
-    the fits.  Fit failures leave the corresponding fit as None.
+    the fits.  Fit failures leave the corresponding fit as None, and fewer
+    than 1 000 jumps raise a StatisticsWarning.
     """
     xi = jump_distances(record, mode=mode, metric=metric)
-    if xi.size < min_jumps:
+    if xi.size < 1000:
         warnings.warn(f"only {xi.size} jumps, statistics will be poor",
                       StatisticsWarning, stacklevel=2)
     L = float(record.extents[0])
@@ -445,10 +451,6 @@ def loser_jump_stats(record, mode="raw", metric="norm", pi1_range=None,
     cum_f = np.cumsum(counts) / xi.size
 
     half = L / 2.0
-    if pi1_range is None:
-        pi1_range = (1.0, half)
-    if pi2_range is None:
-        pi2_range = (1.0, half)
     near = xi[(xi >= 1.0) & (xi <= half)]
     far = np.abs(L - xi[xi > half])
     far = far[far >= 1.0]
@@ -456,15 +458,15 @@ def loser_jump_stats(record, mode="raw", metric="norm", pi1_range=None,
     pi1 = pi2 = None
     if near.size:
         try:
-            pi1 = _fit_branch(near, pi1_range, half, min_points)
+            pi1 = _fit_branch(near, half)
         except FitDomainError:
             pass
     if far.size:
         try:
-            pi2 = _fit_branch(far, pi2_range, half, min_points)
+            pi2 = _fit_branch(far, half)
         except FitDomainError:
             pass
-    return JumpStats(distances=xi, extent=L, mode=mode, metric=metric,
+    return JumpStats(distances=xi, mode=mode, metric=metric,
                      cumulative_x=cum_x, cumulative_f=cum_f, pi1=pi1, pi2=pi2)
 
 
@@ -479,17 +481,16 @@ class GammaFit:
     n_points: int
 
 
-def gamma_st(events, min_events=1000, min_count=3, t_range=None):
-    """Exponent of <S> ~ T^gamma from the per-duration mean sizes."""
+def gamma_st(events, min_events=1000):
+    """Exponent of <S> ~ T^gamma from the mean sizes of the durations seen
+    at least 3 times."""
     if len(events) < min_events:
         raise FitDomainError(f"need at least {min_events} events, got {len(events)}")
     S = np.asarray([e.size for e in events], dtype=np.float64)
     T = np.asarray([e.duration for e in events], dtype=np.float64)
     ts, inverse, counts = np.unique(T, return_inverse=True, return_counts=True)
     mean_s = np.bincount(inverse, weights=S) / counts
-    sel = counts >= min_count
-    if t_range is not None:
-        sel &= (ts >= t_range[0]) & (ts <= t_range[1])
+    sel = counts >= 3
     if np.count_nonzero(sel) < 3:
         raise FitDomainError("too few populated duration bins")
     slope, _, _, stderr = _linregress(np.log(ts[sel]), np.log(mean_s[sel]))

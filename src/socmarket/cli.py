@@ -7,6 +7,10 @@ distributions, exponents and the scaling relation), and `decay-check`
 (fitted vs predicted deflation rate).  All outputs are plain CSV/JSON with
 the config hash embedded, and reruns are byte-identical.
 
+The module keeps no statistics or defaults of its own: the INI is read
+through INI_KEYS onto the config dataclasses, and avalanche-stats fits
+through analysis.avalanche_exponents.
+
 Exit codes: 0 success, 1 config error, 2 runtime error, 3 statistics
 warning escalated by --strict.
 """
@@ -27,22 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, analysis, dynamics, topology
-from .errors import ConfigError, FitDomainError, StatisticsWarning, TopologyError
-
-# defaults follow the reference protocol: prices start in [10, 11),
-# eta_max 1%, a million steps with the first 1e5 discarded, and
-# distribution fits over [10, 1e3]
-DEFAULTS = {
-    "price_floor": 10.0,
-    "eta_max": 0.01,
-    "total_steps": 1_000_000,
-    "transient_steps": 100_000,
-    "fit_min": 10.0,
-    "fit_max": 1000.0,
-    "fit_t_min": 10.0,
-    "fit_t_max": 100.0,
-    "checkpoint_every": 100_000,
-}
+from .errors import ConfigError, StatisticsWarning, TopologyError
 
 MIN_EVENTS = 1000
 
@@ -69,17 +58,17 @@ class ExperimentConfig:
     sim: dynamics.SimConfig = dataclasses.field(default_factory=dynamics.SimConfig)
     f0: Optional[float] = None
     f0_quantile: Optional[float] = None
-    fit_min: float = DEFAULTS["fit_min"]
-    fit_max: float = DEFAULTS["fit_max"]
-    fit_t_min: float = DEFAULTS["fit_t_min"]
-    fit_t_max: float = DEFAULTS["fit_t_max"]
+    fit_min: float = analysis.DEFAULT_SIZE_RANGE[0]
+    fit_max: float = analysis.DEFAULT_SIZE_RANGE[1]
+    fit_t_min: float = analysis.DEFAULT_DURATION_RANGE[0]
+    fit_t_max: float = analysis.DEFAULT_DURATION_RANGE[1]
     distance_mode: str = "raw"
     distance_metric: str = "norm"
     n_seeds: int = 1
     workers: int = 1
     out_dir: str = "out"
     engine: str = "incremental"
-    checkpoint_every: int = DEFAULTS["checkpoint_every"]
+    checkpoint_every: int = 100_000
 
     def validate(self):
         """Check the fields without building anything: the sim parameters,
@@ -136,55 +125,41 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
 
 
+# INI section -> key -> cast.  A key left out keeps its SimConfig ([sim])
+# or ExperimentConfig field default; [output] dir is out_dir.  The first
+# bad value in this order ([sim], then field order) is the error reported.
+INI_KEYS = {
+    "sim": {"price_floor": float, "eta_max": float, "total_steps": int,
+            "transient_steps": int, "seed": int, "renorm_threshold": float},
+    "topology": {"kind": str, "n": int, "L": int, "alpha": float, "corner": str},
+    "weights": {"scheme": str, "a": float},
+    "analysis": {"f0": float, "f0_quantile": float, "fit_min": float,
+                 "fit_max": float, "fit_t_min": float, "fit_t_max": float,
+                 "distance_mode": str, "distance_metric": str},
+    "ensemble": {"n_seeds": int, "workers": int},
+    "output": {"dir": str, "engine": str, "checkpoint_every": int},
+}
+
+
 def load_config(path):
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = cp.read(path)
-    if not read:
+    if not cp.read(path):
         raise ConfigError(f"cannot read config file {path}")
-
-    def get(section, key, cast, default=None):
-        if cp.has_option(section, key):
-            try:
-                return cast(cp.get(section, key))
-            except ValueError as exc:
-                raise ConfigError(f"[{section}] {key}: {exc}") from exc
-        return default
-
-    kind = get("topology", "kind", str)
-    if kind is None:
+    if not cp.has_option("topology", "kind"):
         raise ConfigError("[topology] kind is required")
-    sim = dynamics.SimConfig(
-        price_floor=get("sim", "price_floor", float, DEFAULTS["price_floor"]),
-        eta_max=get("sim", "eta_max", float, DEFAULTS["eta_max"]),
-        total_steps=get("sim", "total_steps", int, DEFAULTS["total_steps"]),
-        transient_steps=get("sim", "transient_steps", int, DEFAULTS["transient_steps"]),
-        seed=get("sim", "seed", int, 0),
-        renorm_threshold=get("sim", "renorm_threshold", float, None),
-    )
-    return ExperimentConfig(
-        kind=kind,
-        n=get("topology", "n", int),
-        L=get("topology", "L", int),
-        alpha=get("topology", "alpha", float),
-        corner=get("topology", "corner", str),
-        scheme=get("weights", "scheme", str, "fixed"),
-        a=get("weights", "a", float, 0.5),
-        sim=sim,
-        f0=get("analysis", "f0", float),
-        f0_quantile=get("analysis", "f0_quantile", float),
-        fit_min=get("analysis", "fit_min", float, DEFAULTS["fit_min"]),
-        fit_max=get("analysis", "fit_max", float, DEFAULTS["fit_max"]),
-        fit_t_min=get("analysis", "fit_t_min", float, DEFAULTS["fit_t_min"]),
-        fit_t_max=get("analysis", "fit_t_max", float, DEFAULTS["fit_t_max"]),
-        distance_mode=get("analysis", "distance_mode", str, "raw"),
-        distance_metric=get("analysis", "distance_metric", str, "norm"),
-        n_seeds=get("ensemble", "n_seeds", int, 1),
-        workers=get("ensemble", "workers", int, 1),
-        out_dir=get("output", "dir", str, "out"),
-        engine=get("output", "engine", str, "incremental"),
-        checkpoint_every=get("output", "checkpoint_every", int,
-                             DEFAULTS["checkpoint_every"]),
-    )
+    given = {}
+    for section, keys in INI_KEYS.items():
+        for key, cast in keys.items():
+            if cp.has_option(section, key):
+                try:
+                    given[key] = cast(cp.get(section, key))
+                except ValueError as exc:
+                    raise ConfigError(f"[{section}] {key}: {exc}") from exc
+    sim = dynamics.SimConfig(**{key: given.pop(key) for key in INI_KEYS["sim"]
+                                if key in given})
+    if "dir" in given:
+        given["out_dir"] = given.pop("dir")
+    return ExperimentConfig(sim=sim, **given)
 
 
 def build_experiment(ecfg, seed):
@@ -300,12 +275,11 @@ def _provenance(ecfg, args, record):
     return record.config_hash, record.config.seed if record.config else None
 
 
-def _obtain_record(ecfg, args, activity_f0=None):
+def _obtain_record(ecfg, args):
     if args.run:
         return dynamics.RunRecord.load_text(args.run)
     net, wts, sim_cfg = build_experiment(ecfg, ecfg.sim.seed)
-    sim = dynamics.Simulation(net, wts, sim_cfg, engine=ecfg.engine)
-    return sim.run(activity_f0=activity_f0)
+    return dynamics.Simulation(net, wts, sim_cfg, engine=ecfg.engine).run()
 
 
 def cmd_walk_stats(ecfg, args):
@@ -356,20 +330,21 @@ def cmd_avalanche_stats(ecfg, args):
     else:
         config_hash, seed = ecfg.digest(), ecfg.sim.seed
         net, wts, sim_cfg = build_experiment(ecfg, ecfg.sim.seed)
-        if ecfg.f0 is not None:
-            f0, f0_mode = float(ecfg.f0), "absolute"
-            sim = dynamics.Simulation(net, wts, sim_cfg, engine=ecfg.engine)
-            record = sim.run(activity_f0=f0)
-            y = record.post(record.activity)
-        elif ecfg.f0_quantile is not None:
-            sim = dynamics.Simulation(net, wts, sim_cfg, engine=ecfg.engine)
-            f0 = analysis.stationary_profit_quantile(sim, ecfg.f0_quantile)
-            f0_mode = f"quantile({ecfg.f0_quantile})"
-            sim = dynamics.Simulation(net, wts, sim_cfg, engine=ecfg.engine)
-            record = sim.run(activity_f0=f0)
-            y = record.post(record.activity)
-        else:
+        if ecfg.f0 is None and ecfg.f0_quantile is None:
             f0, f0_mode, y = _scan_for_threshold(ecfg, net, wts, sim_cfg)
+        else:
+            quantile_sim = None
+            if ecfg.f0 is not None:
+                f0, f0_mode = float(ecfg.f0), "absolute"
+            else:
+                quantile_sim = dynamics.Simulation(net, wts, sim_cfg, engine=ecfg.engine)
+                f0 = analysis.stationary_profit_quantile(quantile_sim, ecfg.f0_quantile)
+                f0_mode = f"quantile({ecfg.f0_quantile})"
+            # built while quantile_sim lives, sim shares its update plan
+            sim = dynamics.Simulation(net, wts, sim_cfg, engine=ecfg.engine)
+            del quantile_sim
+            record = sim.run(activity_f0=f0)
+            y = record.post(record.activity)
     out = Path(ecfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     events = analysis.extract_avalanches(y)
@@ -396,39 +371,22 @@ def cmd_avalanche_stats(ecfg, args):
         "scaling_relation": None,
     }
     if events:
-        sizes = np.array([e.size for e in events])
-        durations = np.array([e.duration for e in events])
-        fit_range = (ecfg.fit_min, ecfg.fit_max)
-        fit_range_t = (ecfg.fit_t_min, ecfg.fit_t_max)
-        dist_s = analysis.log_bin(sizes)
-        dist_t = analysis.log_bin(durations)
+        fits = analysis.avalanche_exponents(
+            events, (ecfg.fit_min, ecfg.fit_max), (ecfg.fit_t_min, ecfg.fit_t_max))
         meta = f"config_hash {config_hash} seed {seed}"
         _write_csv(out / "avalanche_sizes.csv", ["x", "density"],
-                   (dist_s.x, dist_s.density), meta)
+                   (fits.sizes.x, fits.sizes.density), meta)
         _write_csv(out / "avalanche_durations.csv", ["x", "density"],
-                   (dist_t.x, dist_t.density), meta)
-        try:
-            tau_s = analysis.fit_power_law(dist_s, fit_range)
-            result["tau_s"] = _fit_dict(tau_s)
-        except FitDomainError as exc:
-            result["tau_s_error"] = str(exc)
-            tau_s = None
-        try:
-            tau_t = analysis.fit_power_law(dist_t, fit_range_t)
-            result["tau_t"] = _fit_dict(tau_t)
-        except FitDomainError as exc:
-            result["tau_t_error"] = str(exc)
-            tau_t = None
-        try:
-            gamma = analysis.gamma_st(events, min_events=min(MIN_EVENTS, len(events)))
-            result["gamma_st"] = {"gamma": gamma.gamma, "stderr": gamma.stderr,
-                                  "n_points": gamma.n_points}
-            if tau_s and tau_t:
-                resid, comb = analysis.scaling_relation_residual(tau_s, tau_t, gamma)
-                result["scaling_relation"] = {"residual": resid,
-                                              "combined_stderr": comb}
-        except FitDomainError as exc:
-            result["gamma_error"] = str(exc)
+                   (fits.durations.x, fits.durations.density), meta)
+        result["tau_s"] = _fit_dict(fits.tau_s)
+        result["tau_t"] = _fit_dict(fits.tau_t)
+        if fits.gamma:
+            result["gamma_st"] = {"gamma": fits.gamma.gamma, "stderr": fits.gamma.stderr,
+                                  "n_points": fits.gamma.n_points}
+        if fits.relation_residual is not None:
+            result["scaling_relation"] = {"residual": fits.relation_residual,
+                                          "combined_stderr": fits.relation_stderr}
+        result.update((f"{name}_error", msg) for name, msg in fits.errors.items())
     _json_dump(result, out / "avalanche_fits.json")
     if result["tau_s"]:
         print(f"tau_S = {result['tau_s']['exponent']:.3f} "

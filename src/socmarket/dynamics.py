@@ -538,6 +538,13 @@ def _count_block(out, f0, means, start, olds, news):
 # ----------------------------------------------------------------------
 # simulation driver
 
+def _new_engine(net, wts, prices, engine):
+    """The MarketEngine a Simulation steps, named "incremental" or "full"."""
+    if engine not in ("incremental", "full"):
+        raise ValueError(f"engine must be incremental or full, got {engine!r}")
+    return MarketEngine(net, wts, prices, incremental=(engine == "incremental"))
+
+
 class Simulation:
     """Owns an engine, the random source, and the step loop (_advance)."""
 
@@ -546,12 +553,10 @@ class Simulation:
 
     def __init__(self, net, wts, config, engine="incremental"):
         config.validate()
-        if engine not in ("incremental", "full"):
-            raise ValueError(f"engine must be incremental or full, got {engine!r}")
         self.net, self.wts, self.config = net, wts, config
         self._rng = np.random.default_rng(config.seed)
         prices = config.price_floor + self._rng.random(net.n_agents)
-        self._eng = MarketEngine(net, wts, prices, incremental=(engine == "incremental"))
+        self._eng = _new_engine(net, wts, prices, engine)
         self._t = 0
         if config.renorm_threshold is None:
             self._renorm_level = 1e-6 * (self._eng.psum / net.n_agents)
@@ -696,7 +701,7 @@ class Simulation:
         sim = cls.__new__(cls)
         sim.net, sim.wts, sim.config = net, wts, config.validate()
         sim._rng = rng
-        sim._eng = MarketEngine(net, wts, prices, incremental=(engine == "incremental"))
+        sim._eng = _new_engine(net, wts, prices, engine)
         sim._eng.psum = psum
         sim._t = t
         sim._renorm_level = renorm_level

@@ -317,6 +317,31 @@ class TestAvalancheExponents:
         assert out.tau_s.exponent == pytest.approx(1.5, abs=0.04)
         assert out.relation_residual <= 2 * out.relation_stderr + 0.02
 
+    def test_few_events_are_fitted(self):
+        # the event count gates no fit: 300 events with populated bins give
+        # all three exponents and the relation
+        rng = np.random.default_rng(5)
+        T = sm.sample_discrete_power_law(2.0, 300, rng, x_max=1000)
+        events = [sm.AvalancheEvent(int(t) ** 2, int(t)) for t in T]
+        out = sm.avalanche_exponents(events, size_range=(1, 10 ** 6),
+                                     duration_range=(1, 1000))
+        assert out.n_events == 300 and out.errors == {}
+        assert out.tau_s and out.tau_t and out.gamma.gamma == pytest.approx(2.0)
+        assert out.relation_residual is not None and out.relation_stderr > 0
+
+    def test_failed_fit_is_none_with_its_message(self):
+        # no duration or size reaches the default windows, while four
+        # durations seen five times each still give gamma
+        events = [sm.AvalancheEvent(t, t) for t in range(1, 5) for _ in range(5)]
+        out = sm.avalanche_exponents(events)
+        assert out.tau_s is None and out.tau_t is None
+        assert out.gamma.gamma == pytest.approx(1.0)
+        assert out.errors == {
+            "tau_s": "need at least 3 nonzero bins in [10, 1000], found 0",
+            "tau_t": "need at least 3 nonzero bins in [10, 100], found 0"}
+        assert out.relation_residual is None and out.relation_stderr is None
+        assert list(out.sizes.counts) == [5, 10, 5]
+
 
 class TestThresholdScan:
     def test_scan_is_deterministic_and_structured(self):

@@ -10,6 +10,8 @@ import pytest
 import socmarket as sm
 from socmarket import cli
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def write_config(path, text):
     path.write_text(text)
@@ -156,6 +158,38 @@ class TestConfigParsing:
         assert ecfg.sim.price_floor == 10.0
         assert ecfg.sim.eta_max == 0.01
         assert ecfg.fit_min == 10.0 and ecfg.fit_max == 1000.0
+
+    @pytest.mark.parametrize("name, digest", [
+        ("er_avalanches", "3a111dbe3ec59a79"),
+        ("ring_decay", "d7551432764e9839"),
+        ("rt_lattice_avalanches", "31cd49c776ba204b"),
+        ("rt_walk", "e2901d882c0e9e51"),
+    ])
+    def test_reference_config_hashes(self, name, digest):
+        # outputs carry the hash, so a change of loader must not move it
+        ecfg = cli.load_config(str(ROOT / "configs" / f"{name}.ini"))
+        assert ecfg.digest() == digest
+
+    def test_all_defaults_hash(self, tmp_path):
+        cfg = write_config(tmp_path / "c.ini", "[topology]\nkind = ring\nn = 5\n")
+        assert cli.load_config(cfg).digest() == "4d2496170cc5ca1e"
+
+    @pytest.mark.parametrize("text, message", [
+        ("[topology]\nkind = ring\n[sim]\ntotal_steps = 1e5\n",
+         "[sim] total_steps: invalid literal for int() with base 10: '1e5'"),
+        # a missing kind first, then [sim], then the other sections
+        ("[topology]\nn = 5\n[sim]\neta_max = x\n",
+         "[topology] kind is required"),
+        ("[topology]\nkind = ring\nn = y\n[sim]\neta_max = x\n",
+         "[sim] eta_max: could not convert string to float: 'x'"),
+        ("[topology]\nkind = ring\nn = y\n[ensemble]\nworkers = z\n",
+         "[topology] n: invalid literal for int() with base 10: 'y'"),
+    ], ids=["bad_cast", "missing_kind", "sim_first", "field_order"])
+    def test_load_errors(self, tmp_path, text, message):
+        cfg = write_config(tmp_path / "c.ini", text)
+        with pytest.raises(sm.ConfigError) as exc:
+            cli.load_config(cfg)
+        assert str(exc.value) == message
 
 
 class TestRunCommand:
@@ -320,6 +354,40 @@ class TestAvalancheStats:
         fits = json.loads((out / "avalanche_fits.json").read_text())
         assert fits["f0_mode"] == "scan (fallback)"
         assert fits["n_events"] > 0
+
+    def test_failed_duration_fit_leaves_the_other_fits(self, tmp_path):
+        # a duration window holding one populated bin: tau_t fails alone,
+        # and the relation, which needs all three fits, is not reported
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.ini", f"""
+[topology]
+kind = corner
+corner = RT
+L = 16
+
+[weights]
+a = 0.25
+
+[sim]
+total_steps = 60000
+transient_steps = 6000
+seed = 11
+
+[analysis]
+f0 = -0.0047
+fit_t_min = 50
+fit_t_max = 100
+
+[output]
+dir = {out}
+""")
+        assert cli.main(["avalanche-stats", "--config", cfg]) == 0
+        fits = json.loads((out / "avalanche_fits.json").read_text())
+        assert fits["tau_s"] and fits["gamma_st"]
+        assert fits["tau_t"] is None
+        assert fits["tau_t_error"] == "need at least 3 nonzero bins in [50, 100], found 1"
+        assert "tau_s_error" not in fits and "gamma_error" not in fits
+        assert fits["scaling_relation"] is None
 
     def test_quantile_mode(self, tmp_path):
         out = tmp_path / "out"

@@ -694,6 +694,16 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="holds 10 agents, the network has 12"):
             sm.Simulation.resume(other, other_wts, cfg, ckpt)
 
+    def test_resume_rejects_an_unknown_engine(self, tmp_path):
+        # the same check as the constructor's: a misspelt name must not
+        # silently run the full engine
+        net, wts, cfg = small_setup(n=10)
+        ckpt = tmp_path / "ckpt.bin"
+        sm.Simulation(net, wts, dataclasses.replace(cfg, total_steps=100)).run(
+            checkpoint_path=ckpt, checkpoint_every=50)
+        with pytest.raises(ValueError, match="engine must be incremental or full"):
+            sm.Simulation.resume(net, wts, cfg, ckpt, engine="Incremental")
+
     def test_checkpoint_roundtrip_fields(self, tmp_path):
         rng = np.random.default_rng(3)
         rng.random(17)  # advance the stream
