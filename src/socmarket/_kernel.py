@@ -1,0 +1,127 @@
+"""Build and load the incremental engine's update kernel, `_kernel.c`.
+
+The kernel is compiled on first use with the system C compiler and cached
+as `__pycache__/_kernel-<hash>.so` beside this file, where the hash covers
+the source, the compiler flags and the machine.  A library is written to a
+temporary file in that directory and then moved over its name, so a
+concurrent process never loads a half-written one.  Each library ends in a
+trailer holding the sha256 of the bytes before it; a cached library whose
+trailer does not match (cut short, corrupt) is built again before it is
+loaded, since loading a cut ELF file can crash the process.  Where the
+cache cannot be written, the library is built in a temporary directory for
+this process.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import platform
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+SOURCE = Path(__file__).with_name("_kernel.c")
+CACHE = SOURCE.parent / "__pycache__"
+# no -ffast-math or -march=native: a contracted (fused) or reassociated
+# operation would change the bits the engines agree on
+FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+
+
+class Market(ctypes.Structure):
+    """The kernel's `market` struct: addresses of the engine's arrays."""
+    _fields_ = [(name, ctypes.c_void_p) for name in (
+        "p", "wants", "qp", "qW", "qt", "profit", "w",
+        "sup_ptr", "sup_idx", "in_ptr", "in_idx", "plan_ptr", "plan")
+    ] + [("two_thirds", ctypes.c_double)]
+
+
+def compiler():
+    """Path of the C compiler, or None if there is none."""
+    return shutil.which("cc")
+
+
+def library_name(source):
+    """Cache file name of the library built from `source` (bytes)."""
+    digest = hashlib.sha256(source)
+    for part in (*FLAGS, platform.machine(), sys.platform):
+        digest.update(b"\0" + part.encode())
+    return f"_kernel-{digest.hexdigest()[:16]}.so"
+
+
+# appended to every library built: a tag, then the sha256 of what precedes
+# it (the dynamic loader ignores bytes past the ELF contents)
+_TAG = b"socmarket-kernel"
+_TRAILER = len(_TAG) + hashlib.sha256().digest_size
+
+
+def _intact(path):
+    """Whether `path` is a whole library as _build wrote it."""
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return False
+    body, trailer = data[:-_TRAILER], data[-_TRAILER:]
+    return trailer == _TAG + hashlib.sha256(body).digest()
+
+
+def _open(path):
+    lib = ctypes.CDLL(str(path))
+    lib.socm_update.argtypes = (ctypes.POINTER(Market), ctypes.c_void_p, ctypes.c_void_p)
+    # the per-step entry has no argtypes, whose conversions cost more than
+    # the kernel on small plans: pass it ctypes.byref(market) and an int
+    lib.socm_update_agent.argtypes = None
+    return lib
+
+
+def _build(cc, target):
+    """Compile SOURCE to `target` through a temporary file beside it."""
+    import subprocess  # here, as most runs find the library built
+    fd, tmp = tempfile.mkstemp(prefix=target.stem, suffix=".tmp", dir=target.parent)
+    os.close(fd)
+    try:
+        done = subprocess.run([cc, *FLAGS, "-o", tmp, str(SOURCE), "-lm"],
+                              capture_output=True, text=True)
+        if done.returncode != 0:
+            raise RuntimeError(f"compiling {SOURCE} failed:\n{done.stderr}")
+        with open(tmp, "rb+") as fh:
+            fh.write(_TAG + hashlib.sha256(fh.read()).digest())
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _load():
+    target = CACHE / library_name(SOURCE.read_bytes())
+    if _intact(target):
+        return _open(target)
+    cc = compiler()
+    if cc is None:
+        raise RuntimeError("the incremental engine needs a C compiler to build its "
+                           "kernel, and no 'cc' was found on PATH; install one, or "
+                           "run with engine = full")
+    try:
+        CACHE.mkdir(exist_ok=True)
+        _build(cc, target)
+    except OSError:
+        # the cache is not writable: build for this process alone (a loaded
+        # library outlives its file)
+        with tempfile.TemporaryDirectory() as tmp:
+            target = Path(tmp) / target.name
+            _build(cc, target)
+            return _open(target)
+    return _open(target)
+
+
+_lib = None
+
+
+def load():
+    """The kernel library, built and loaded on first use."""
+    global _lib
+    if _lib is None:
+        _lib = _load()
+    return _lib

@@ -143,7 +143,11 @@ INI_KEYS = {
 
 def load_config(path):
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    if not cp.read(path):
+    try:
+        found = cp.read(path)
+    except configparser.Error as exc:  # a repeated section, no section header
+        raise ConfigError(str(exc)) from exc
+    if not found:
         raise ConfigError(f"cannot read config file {path}")
     if not cp.has_option("topology", "kind"):
         raise ConfigError("[topology] kind is required")

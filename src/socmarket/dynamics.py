@@ -11,30 +11,32 @@ Two interchangeable engines drive the evaluation:
                  and its customers; demands of that set's suppliers; trades
                  over the union; profits over the union and its customers).
                  The neighborhood depends on the network alone, so the
-                 engine precomputes it once per agent from affected_sets.
+                 engine precomputes it once per agent from affected_sets,
+                 as CSR arrays that the compiled kernel (_kernel.c) reads.
 
-Engine construction and renormalisation evaluate the full market too.  The
-incremental kernel repeats evaluate_market's arithmetic in its order, so the
-engines' loser sequences agree exactly, not just within tolerance.
+Both engines keep their state in float64 numpy arrays.  Engine construction
+and renormalisation evaluate the full market too.  The incremental kernel
+repeats evaluate_market's arithmetic in its order, so the engines' loser
+sequences agree exactly, not just within tolerance.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import struct
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import _kernel
 from .errors import ConsistencyError, MarketDomainError
 from .market import TWO_THIRDS, evaluate_market
-
-_SQRT = math.sqrt
 
 
 @dataclass(frozen=True)
@@ -91,10 +93,10 @@ def affected_sets(net, changed):
     lists an agent once.
 
     The order within a phase is free, so the phases are formed as set
-    unions: in MarketEngine._update each agent of a phase writes only its
-    own slots (its production and wants, its demand, its trade, its
-    profit) and reads only prices and what earlier phases wrote, so any
-    order gives the same bits.
+    unions: in the update kernel (_kernel.c) each agent of a phase writes
+    only its own slots (its production and wants, its demand, its trade,
+    its profit) and reads only prices and what earlier phases wrote, so
+    any order gives the same bits.
     """
     sup, cust = net.suppliers, net.customers
     prod = {changed, *cust[changed]}
@@ -105,12 +107,26 @@ def affected_sets(net, changed):
 
 
 class _Plan:
-    """The affected_sets of every agent of a network, as `sets`.  It holds
-    the network, so that no other network takes its id while it lives."""
+    """The affected_sets of every agent of a network as CSR arrays: phase k
+    (production, demand, traded, profit) of agent c's plan is
+    agents[ptr[4c + k]:ptr[4c + k + 1]].  It also holds the network's edge
+    arrays in the types the kernel reads, and the network itself, so that
+    no other network takes its id while it lives."""
 
     def __init__(self, net):
         self.net = net
-        self.sets = [affected_sets(net, c) for c in range(net.n_agents)]
+        phases = list(chain.from_iterable(affected_sets(net, c) for c in range(net.n_agents)))
+        self.ptr = np.zeros(len(phases) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, phases), dtype=np.int64, count=len(phases)),
+                  out=self.ptr[1:])
+        self.agents = np.fromiter(chain.from_iterable(phases), dtype=np.int32,
+                                  count=self.ptr[-1])
+        self.sup_ptr = np.ascontiguousarray(net.sup_ptr, dtype=np.int64)
+        self.sup_idx = np.ascontiguousarray(net.sup_idx, dtype=np.int64)
+        self.in_ptr = np.zeros(net.n_agents + 1, dtype=np.int64)
+        np.cumsum([len(e) for e in net.in_edges], out=self.in_ptr[1:])
+        self.in_idx = np.fromiter(chain.from_iterable(net.in_edges), dtype=np.int64,
+                                  count=net.n_edges)
 
 
 # one plan per network, shared by the engines built on it while any of
@@ -128,87 +144,87 @@ def _plan(net):
 # ----------------------------------------------------------------------
 # engines
 
+class _State:
+    """An engine state array whose address the kernel holds: assigning to
+    the attribute copies into the array, so the kernel never reads a stale
+    buffer."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, eng, owner=None):
+        return self if eng is None else eng.__dict__[self.slot]
+
+    def __set__(self, eng, value):
+        eng.__dict__[self.slot][...] = value
+
+
 class MarketEngine:
-    """Mutable market state with one scalar update kernel.
+    """Mutable market state with one compiled update kernel.
 
-    Hot state lives in plain Python lists (prices, productions, wants,
-    demands, trades); profits live in the numpy array `profit`, the one
-    place the step reads the loser (find_loser) and the activity from.
+    The state is float64 numpy arrays: prices `p`, productions `qp`, wants
+    (per supplier edge), demands `qW`, trades `qt` and profits `profit`,
+    the one place the step reads the loser (find_loser) and the activity
+    from.  The arrays live as long as the engine; assigning to one copies
+    into it.
 
-    `recompute_all` writes evaluate_market's arrays into the state;
-    `_update` runs the four phases (production and wants, demand, traded,
-    profit) over the changed agent's affected_sets, with evaluate_market's
-    arithmetic in its order, so both give the same bits.
+    `recompute_all` writes evaluate_market's arrays into the state; the
+    kernel (`_kernel.c`) runs the four phases (production and wants,
+    demand, traded, profit) over the changed agent's affected_sets, with
+    evaluate_market's arithmetic in its order, so both give the same bits.
     """
 
+    p = _State()
+    qp = _State()
+    wants = _State()
+    qW = _State()
+    qt = _State()
+    profit = _State()
+    # the state arrays evaluate_market's snapshot fields go to
+    _SNAPSHOT = (("production", "_qp"), ("wants", "_wants"), ("demand", "_qW"),
+                 ("traded", "_qt"), ("profit", "_profit"))
+
     def __init__(self, net, wts, prices, incremental=True):
+        # built first, so that a missing compiler fails before any work
+        lib = _kernel.load() if incremental else None
         n = net.n_agents
         self.net = net
         self.wts = wts
         self.n = n
         self.incremental = incremental
-        # adjacency as plain lists for the kernel: _edges[i] holds agent
-        # i's (edge id, supplier) pairs, _in_edges[j] good j's edge ids
-        ptr = net.sup_ptr.tolist()
-        pairs = list(enumerate(net.sup_idx.tolist()))
-        self._edges = [pairs[ptr[i]:ptr[i + 1]] for i in range(n)]
-        self._in_edges = net.in_edges
-        self._w = wts.weights_flat.tolist()
         # state; evaluate_market rejects a wrong shape or a price <= 0
-        self.p = np.asarray(prices, dtype=np.float64).tolist()
-        self.profit = np.zeros(n)
+        self._p = np.array(prices, dtype=np.float64)
+        self._qp, self._qW, self._qt, self._profit = (np.empty(n) for _ in range(4))
+        self._wants = np.empty(net.n_edges)
         self.recompute_all()
-        self.psum = math.fsum(self.p)
+        self.psum = math.fsum(self._p)
         if incremental:
-            self._plan = _plan(net)
-            self._affected = self._plan.sets
-
-    # -- the kernel --------------------------------------------------------
+            self._plan = plan = _plan(net)
+            # every array the kernel reads is held by the engine or its plan
+            self._w = np.ascontiguousarray(wts.weights_flat, dtype=np.float64)
+            arrays = (self._p, self._wants, self._qp, self._qW, self._qt, self._profit,
+                      self._w, plan.sup_ptr, plan.sup_idx, plan.in_ptr, plan.in_idx,
+                      plan.ptr, plan.agents)
+            self._market = _kernel.Market(*(a.ctypes.data for a in arrays), TWO_THIRDS)
+            self._update_agent = partial(lib.socm_update_agent, ctypes.byref(self._market))
 
     def _update(self, production, demand, traded, profit):
         """Recompute production and wants over `production`, demand over
         `demand`, traded over `traded` and profit over `profit`, in that
-        order."""
-        p, w, wants, edges, in_edges = self.p, self._w, self.wants, self._edges, self._in_edges
-        qp, qW, qt, prof = self.qp, self.qW, self.qt, self.profit
-        sqrt = _SQRT
-        for i in production:
-            pi = p[i]
-            tot = 0.0
-            for e, j in edges[i]:
-                pr = w[e] * (pi / p[j])
-                wants[e] = pr
-                tot += sqrt(pr)
-            q = tot ** TWO_THIRDS
-            qp[i] = q
-            for e, _ in edges[i]:
-                wants[e] = wants[e] * q
-        for j in demand:
-            acc = 0.0
-            for e in in_edges[j]:
-                acc += wants[e]
-            qW[j] = acc
-        for j in traded:
-            a, b = qp[j], qW[j]
-            qt[j] = a if a < b else b
-        for i in profit:
-            acc = 0.0
-            for e, j in edges[i]:
-                dj = qW[j]
-                if dj > 0.0:
-                    acc += (wants[e] / dj) * (p[j] * qt[j])
-            prof[i] = p[i] * qt[i] - acc
-        self.touched_last = len(profit)
+        order, in the kernel."""
+        phases = (production, demand, traded, profit)
+        bounds = np.cumsum([0, *map(len, phases)], dtype=np.int64)
+        agents = np.fromiter(chain(*phases), dtype=np.int32, count=bounds[-1])
+        if agents.size and not 0 <= agents.min() <= agents.max() < self.n:
+            raise IndexError("agent out of range")
+        self.touched_last = _kernel.load().socm_update(
+            self._market, bounds.ctypes.data, agents.ctypes.data)
 
     def recompute_all(self):
-        """Take the whole state from evaluate_market; `profit` is written in
-        place, since the step loop holds it."""
-        snap = evaluate_market(self.p, self.net, self.wts)
-        self.qp = snap.production.tolist()
-        self.wants = snap.wants.tolist()
-        self.qW = snap.demand.tolist()
-        self.qt = snap.traded.tolist()
-        self.profit[:] = snap.profit
+        """Take the whole state from evaluate_market, in place."""
+        snap = evaluate_market(self._p, self.net, self.wts)
+        for field, slot in self._SNAPSHOT:
+            getattr(self, slot)[...] = getattr(snap, field)
         self.touched_last = self.n  # profit recomputations in the last update
 
     # plans whose profit phases touch more than this share of the agents,
@@ -217,38 +233,38 @@ class MarketEngine:
 
     @cached_property
     def profit_index(self):
-        """The profit phase of each agent's plan as an index array, built on
-        first use; None for the full engine and for dense plans, where the
-        step loop counts the activity at every step."""
+        """The profit phase of each agent's plan, as views into the plan's
+        agent array; None for the full engine and for dense plans, where
+        the step loop counts the activity at every step."""
         if not self.incremental:
             return None
-        plans = self._affected
-        if sum(len(a.profit) for a in plans) > self._SPARSE_SHARE * self.n * self.n:
+        ptr, agents = self._plan.ptr, self._plan.agents
+        if (ptr[4::4] - ptr[3::4]).sum() > self._SPARSE_SHARE * self.n * self.n:
             return None
-        # views into one array: an array apiece left about 0.3 MB more of
-        # the heap resident after a scan on RT32
-        flat = np.fromiter(chain.from_iterable(a.profit for a in plans), dtype=np.intp)
-        return np.split(flat, np.cumsum([len(a.profit) for a in plans[:-1]]))
+        return [agents[a:b] for a, b in zip(ptr[3::4].tolist(), ptr[4::4].tolist())]
 
     def apply_price_change(self, agent, new_price):
         """Set one price and update every quantity it affects."""
         if not new_price > 0.0:
             raise MarketDomainError("price must remain positive")
-        old = self.p[agent]
-        self.p[agent] = new_price
-        self.psum += new_price - old
+        agent = int(agent)
+        if not 0 <= agent < self.n:  # the kernel reads the agent's plan unchecked
+            raise IndexError(f"agent {agent} out of range")
+        p = self._p
+        self.psum += new_price - p.item(agent)
+        p[agent] = new_price
         if self.incremental:
-            self._update(*self._affected[agent])
+            self.touched_last = self._update_agent(agent)
         else:
             self.recompute_all()
 
     def renormalize(self):
         """Divide all prices by the current mean price (degree-1 homogeneity
         makes quantities invariant and rescales profits), then recompute."""
-        self.psum = math.fsum(self.p)
-        m = self.psum / self.n
-        self.p = [v / m for v in self.p]
-        self.psum = math.fsum(self.p)
+        p = self._p
+        m = math.fsum(p) / self.n
+        np.divide(p, m, out=p)
+        self.psum = math.fsum(p)
         self.recompute_all()
         return m
 
@@ -256,14 +272,11 @@ class MarketEngine:
 
     def audit(self):
         """Demand that the state equal a fresh evaluate_market bit for bit."""
-        snap = evaluate_market(self.p, self.net, self.wts)
-        for name, mine, ref in (("production", self.qp, snap.production),
-                                ("wants", self.wants, snap.wants),
-                                ("demand", self.qW, snap.demand),
-                                ("traded", self.qt, snap.traded),
-                                ("profit", self.profit, snap.profit)):
+        snap = evaluate_market(self._p, self.net, self.wts)
+        for name, slot in self._SNAPSHOT:
+            mine, ref = getattr(self, slot), getattr(snap, name)
             if not np.array_equal(mine, ref):
-                err = float(np.max(np.abs(np.subtract(mine, ref))))
+                err = float(np.max(np.abs(mine - ref)))
                 raise ConsistencyError(
                     f"incremental state diverged on {name}: max err {err:.3e}")
 
@@ -648,7 +661,6 @@ class Simulation:
                 mp = eng.psum / n
                 if mp < level:
                     eng.renormalize()
-                    p = eng.p
                     renorm[j] = True
                     mp = eng.psum / n
                     if index is not None:

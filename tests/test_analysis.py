@@ -378,7 +378,7 @@ class TestThresholdScan:
         q = sm.stationary_profit_quantile(sim, 0.1, n_snapshots=n_snapshots)
         assert q == float(np.quantile(np.concatenate(samples), 0.1))
         assert sim.t == ref.t == total
-        assert sim.engine.p == eng.p
+        assert np.array_equal(sim.engine.p, eng.p)
 
     def test_quantile_threshold_is_plausible(self):
         net = sm.build_ring(20)

@@ -98,6 +98,17 @@ class TestConfigParsing:
         cfg = write_config(tmp_path / "c.ini", "[sim]\nseed = 1\n")
         assert cli.main(["run", "--config", cfg]) == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("[topology]\nkind = ring\nn = 5\n[topology]\nn = 6\n",
+         "section 'topology' already exists"),
+        ("kind = ring\n[topology]\nn = 5\n", "File contains no section headers."),
+    ], ids=["repeated_section", "no_section_header"])
+    def test_unparsable_file_is_a_config_error(self, tmp_path, capsys, text, message):
+        cfg = write_config(tmp_path / "c.ini", text)
+        assert cli.main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+
     def test_invalid_lattice_size(self, tmp_path):
         # validation checks fields only; the builder's range check fails
         # the one real build, still as a config error and before any output

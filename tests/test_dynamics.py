@@ -60,7 +60,7 @@ class TestInitPrices:
         cfg = sm.SimConfig(total_steps=10, transient_steps=0, seed=5)
         a = sm.Simulation(net, wts, cfg).engine.p
         b = sm.Simulation(net, wts, cfg).engine.p
-        assert a == b
+        assert np.array_equal(a, b)
 
 
 class TestFindLoser:
@@ -88,8 +88,8 @@ class TestApplyPriceCut:
         after = sim.engine.p
         assert 0.0 <= eta < cfg.eta_max
         assert after[loser] == before[loser] * (1.0 - eta)
-        assert after[:loser] == before[:loser]
-        assert after[loser + 1:] == before[loser + 1:]
+        assert np.array_equal(after[:loser], before[:loser])
+        assert np.array_equal(after[loser + 1:], before[loser + 1:])
         assert all(v > 0 for v in after)
 
     def test_mean_eta_is_half_max(self):
@@ -162,7 +162,8 @@ class TestAffectedSets:
             b.p[c] = prices[c] * 0.99
             b._update(*(rng.permutation(phase).tolist()
                         for phase in sm.affected_sets(net, c)))
-            assert (a.qp, a.wants, a.qW, a.qt) == (b.qp, b.wants, b.qW, b.qt)
+            assert all(map(np.array_equal, (a.qp, a.wants, a.qW, a.qt),
+                           (b.qp, b.wants, b.qW, b.qt)))
             assert a.profit.tobytes() == b.profit.tobytes()
 
     def test_covers_all_actually_changed_profits(self, rng):
@@ -225,7 +226,7 @@ class TestStep:
         assert (t, loser) == (0, 0)
         assert smin == 0.0
         assert eng.p[0] == before[0] * (1.0 - eta)
-        assert eng.p[1:] == before[1:]
+        assert np.array_equal(eng.p[1:], before[1:])
 
     def test_deterministic_records(self):
         net, wts, cfg = small_setup()
@@ -450,11 +451,11 @@ class TestStepLoop:
         assert rec.mean_price.tolist() == ref["mean_price"]
         assert rec.renorm_flags.tolist() == ref["renorm"]
         assert rec.activity.tolist() == ref["activity"]
-        assert sim.engine.p == ref_p
+        assert np.array_equal(sim.engine.p, ref_p)
         assert sim._rng.bit_generator.state == ref_state
         tracked = sm.Simulation(net, wts, cfg, engine=engine)
         assert sm.track_activity(tracked, grid).tolist() == ref["per_threshold"]
-        assert tracked.engine.p == ref_p
+        assert np.array_equal(tracked.engine.p, ref_p)
         assert tracked._rng.bit_generator.state == ref_state
 
     @pytest.mark.parametrize("renorm_threshold", [None, 1e9])
@@ -533,7 +534,7 @@ class TestBlockCount:
             assert len(flags) == 1 and flags[0] % sm.Simulation._BLOCK > 100
         sim = sm.Simulation(net, wts, cfg)
         assert sm.track_activity(sim, self.GRID).tolist() == ref["per_threshold"]
-        assert sim.engine.p == ref_p
+        assert np.array_equal(sim.engine.p, ref_p)
         # one threshold, as a grid of one and as a scalar
         column = [[row[1]] for row in ref["per_threshold"]]
         assert sm.track_activity(sm.Simulation(net, wts, cfg), self.GRID[1:2]).tolist() == column
