@@ -1,9 +1,10 @@
-/* The incremental engine's update kernel.
+/* The incremental engine's kernel: the update after one price change, the
+ * loser tree, and the step loop over a block of price cuts.
  *
- * After one price change it recomputes, phase by phase, production and
- * wants, demand, traded and profit over the changed agent's affected sets,
- * with market.evaluate_market's arithmetic in its order, so the two give
- * the same bits.  Build it without contraction or reassociation of
+ * After one price change socm_update recomputes, phase by phase, production
+ * and wants, demand, traded and profit over the changed agent's affected
+ * sets, with market.evaluate_market's arithmetic in its order, so the two
+ * give the same bits.  Build it without contraction or reassociation of
  * floating-point operations (-ffp-contract=off, never -ffast-math): a fused
  * multiply-add would change the bits.
  */
@@ -23,17 +24,70 @@ typedef struct {
     const int64_t *plan_ptr;
     const int32_t *plan;
     double two_thirds;
+    /* loser tree over the n profits: node v (1 <= v < size) holds the
+       winner of nodes 2v and 2v + 1, leaf size + i holds agent i, and the
+       leaves past n hold -1; size is the least power of two >= n */
+    int32_t *tree;
+    int64_t n, size;
+    /* sum of the prices, kept by the cuts */
+    double psum;
 } market;
+
+/* The winner of a and b, where a's leaves lie left of b's: b wins only with
+   a smaller profit, or a NaN against a number, so the root is np.argmin's
+   answer (the lowest index among equal minima, the first NaN if any). */
+static int32_t winner(const double *profit, int32_t a, int32_t b)
+{
+    double x, y;
+    if (b < 0)
+        return a;
+    x = profit[a];
+    y = profit[b];
+    return (y < x || (y != y && x == x)) ? b : a;
+}
+
+/* Replay every match of the loser tree, from the leaves up. */
+static void replay(const market *m)
+{
+    int32_t *tree = m->tree;
+    int64_t v;
+
+    for (v = m->size - 1; v >= 1; v--)
+        tree[v] = winner(m->profit, tree[2 * v], tree[2 * v + 1]);
+}
+
+/* Fill the loser tree from the profits. */
+void socm_tree_build(const market *m)
+{
+    int64_t v, size = m->size;
+
+    for (v = 0; v < size; v++)
+        m->tree[size + v] = v < m->n ? (int32_t)v : -1;
+    replay(m);
+}
+
+/* Replay the matches from agent i's leaf to the root after its profit changed. */
+void socm_tree_fix(const market *m, int64_t i)
+{
+    int32_t *tree = m->tree;
+    int64_t v;
+
+    for (v = (m->size + i) >> 1; v >= 1; v >>= 1)
+        tree[v] = winner(m->profit, tree[2 * v], tree[2 * v + 1]);
+}
 
 /* Recompute production and wants over agents[b[0] .. b[1] - 1], demand over
    agents[b[1] .. b[2] - 1], traded over agents[b[2] .. b[3] - 1] and profit
-   over agents[b[3] .. b[4] - 1], in that order; returns the profit count. */
+   over agents[b[3] .. b[4] - 1], in that order, and repair the loser tree
+   over the profits: leaf by leaf, or all at once where the leaf-to-root
+   paths hold more matches than the tree (dense plans, such as ER100's,
+   where a cut recomputes most profits); returns the profit count. */
 int socm_update(const market *m, const int64_t *b, const int32_t *agents)
 {
     const double *p = m->p, *w = m->w;
     double *wants = m->wants, *qp = m->qp, *qW = m->qW, *qt = m->qt;
     const int64_t *sup_ptr = m->sup_ptr, *sup_idx = m->sup_idx;
-    int64_t k, e;
+    int64_t k, e, v, levels = 0;
 
     for (k = b[0]; k < b[1]; k++) {
         int32_t i = agents[k];
@@ -70,6 +124,13 @@ int socm_update(const market *m, const int64_t *b, const int32_t *agents)
         }
         m->profit[i] = p[i] * qt[i] - acc;
     }
+    for (v = m->size; v > 1; v >>= 1)
+        levels++;
+    if ((b[4] - b[3]) * levels >= m->size)
+        replay(m);
+    else
+        for (k = b[3]; k < b[4]; k++)
+            socm_tree_fix(m, agents[k]);
     return (int)(b[4] - b[3]);
 }
 
@@ -77,4 +138,78 @@ int socm_update(const market *m, const int64_t *b, const int32_t *agents)
 int socm_update_agent(const market *m, int c)
 {
     return socm_update(m, m->plan_ptr + 4 * (int64_t)c, m->plan);
+}
+
+/* What socm_advance reads and writes for one block of steps. */
+typedef struct {
+    /* step j cuts the loser's price by the factor 1 - eta_max * u[j] */
+    const double *u;
+    int32_t *loser;
+    double *min_profit, *mean_price;
+    double eta_max;
+    /* the mean price below which the prices are renormalised */
+    double level;
+    /* activity[j * nf0 + k] counts the profits below f0[k] * mean price */
+    int64_t nf0;
+    const double *f0;
+    int32_t *activity;
+    /* the profits each cut's profit phase holds before (olds) and after
+       (news) the cut, one cut after another */
+    double *olds, *news;
+} steps;
+
+/* Run steps from .. count - 1 of a block.
+ *
+ * Step j first stops the loop if the mean price psum / n is below the
+ * level (except at step `from` when `renormed` is set: the caller has just
+ * renormalised), then writes the loser, its profit and the mean price to
+ * loser[j], min_profit[j] and mean_price[j], counts the activity if
+ * `activity` is set, and cuts the price.  When `olds` is set, the profit
+ * phases of the cuts are logged to olds and news from their start.
+ * Returns the step it stopped before, or -1 - j if step j's new price is
+ * not positive (nothing of step j is done).
+ */
+int socm_advance(market *m, const steps *s, int from, int count, int renormed)
+{
+    double *p = m->p, *profit = m->profit;
+    const int64_t *plan_ptr = m->plan_ptr;
+    const int32_t *plan = m->plan;
+    int64_t k, i, q, pos = 0, n = m->n;
+    int j;
+
+    for (j = from; j < count; j++) {
+        double mp = m->psum / (double)n, old, cut;
+        int32_t c = m->tree[1];
+        int64_t lo = plan_ptr[4 * (int64_t)c + 3], hi = plan_ptr[4 * (int64_t)c + 4];
+
+        if (mp < s->level && !(renormed && j == from))
+            return j;
+        old = p[c];
+        cut = old * (1.0 - s->eta_max * s->u[j]);
+        if (!(cut > 0.0))
+            return -1 - j;
+        s->loser[j] = c;
+        s->min_profit[j] = profit[c];
+        s->mean_price[j] = mp;
+        if (s->activity) {
+            for (k = 0; k < s->nf0; k++) {
+                double thr = s->f0[k] * mp;
+                int32_t below = 0;
+                for (i = 0; i < n; i++)
+                    below += profit[i] < thr;
+                s->activity[j * s->nf0 + k] = below;
+            }
+        }
+        if (s->olds)
+            for (q = lo; q < hi; q++)
+                s->olds[pos + q - lo] = profit[plan[q]];
+        m->psum += cut - old;
+        p[c] = cut;
+        socm_update_agent(m, c);
+        if (s->olds)
+            for (q = lo; q < hi; q++)
+                s->news[pos + q - lo] = profit[plan[q]];
+        pos += hi - lo;
+    }
+    return count;
 }

@@ -1,4 +1,4 @@
-"""Build and load the incremental engine's update kernel, `_kernel.c`.
+"""Build and load the incremental engine's kernel, `_kernel.c`.
 
 The kernel is compiled on first use with the system C compiler and cached
 as `__pycache__/_kernel-<hash>.so` beside this file, where the hash covers
@@ -31,11 +31,22 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 
 class Market(ctypes.Structure):
-    """The kernel's `market` struct: addresses of the engine's arrays."""
+    """The kernel's `market` struct: addresses of the engine's arrays, the
+    loser tree's, and the price sum."""
     _fields_ = [(name, ctypes.c_void_p) for name in (
         "p", "wants", "qp", "qW", "qt", "profit", "w",
         "sup_ptr", "sup_idx", "in_ptr", "in_idx", "plan_ptr", "plan")
-    ] + [("two_thirds", ctypes.c_double)]
+    ] + [("two_thirds", ctypes.c_double), ("tree", ctypes.c_void_p),
+         ("n", ctypes.c_int64), ("size", ctypes.c_int64), ("psum", ctypes.c_double)]
+
+
+class Steps(ctypes.Structure):
+    """The kernel's `steps` struct: the buffers and settings of a block of
+    steps."""
+    _fields_ = [
+        *((name, ctypes.c_void_p) for name in ("u", "loser", "min_profit", "mean_price")),
+        ("eta_max", ctypes.c_double), ("level", ctypes.c_double), ("nf0", ctypes.c_int64),
+        *((name, ctypes.c_void_p) for name in ("f0", "activity", "olds", "news"))]
 
 
 def compiler():
@@ -69,10 +80,17 @@ def _intact(path):
 
 def _open(path):
     lib = ctypes.CDLL(str(path))
-    lib.socm_update.argtypes = (ctypes.POINTER(Market), ctypes.c_void_p, ctypes.c_void_p)
-    # the per-step entry has no argtypes, whose conversions cost more than
-    # the kernel on small plans: pass it ctypes.byref(market) and an int
+    market, ptr, i64 = ctypes.POINTER(Market), ctypes.c_void_p, ctypes.c_int64
+    lib.socm_update.argtypes = (market, ptr, ptr)
+    lib.socm_tree_build.argtypes = (market,)
+    lib.socm_tree_build.restype = None
+    lib.socm_tree_fix.argtypes = (market, i64)
+    lib.socm_tree_fix.restype = None
+    # the per-step and per-block entries have no argtypes, whose
+    # conversions cost more than the kernel on small plans: pass them
+    # ctypes.byref(struct) and ints
     lib.socm_update_agent.argtypes = None
+    lib.socm_advance.argtypes = None
     return lib
 
 

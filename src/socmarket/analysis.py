@@ -296,9 +296,9 @@ def track_activity(sim, thresholds):
     """Step a Simulation from its current step to completion, counting
     agents below each rescaled-profit threshold at every step (pre-cut,
     post-renormalization state, matching the activity column of
-    RunRecord; counted per block of cuts on sparse update plans, with one
-    sort per step on dense ones, see Simulation._advance).  Returns a
-    (steps, n_thresholds) array.
+    RunRecord; counted per block of cuts from the touched profits on
+    sparse update plans, and at every step on dense ones, see
+    Simulation._advance).  Returns a (steps, n_thresholds) array.
     """
     thr = np.atleast_1d(np.asarray(thresholds, dtype=np.float64))
     return sim._advance(sim.config.total_steps - sim.t, thr)[4]

@@ -2,10 +2,12 @@
 
 Each step: evaluate the market, find the agent with the least profit (the
 loser), cut its price by a random factor eta in [0, eta_max), record the
-step, repeat.  Simulation._advance is the one loop that runs these steps.
+step, repeat.  Simulation._advance drives these steps in blocks of cuts.
 Two interchangeable engines drive the evaluation:
 
-* full        -- market.evaluate_market over every agent each step (O(N))
+* full        -- market.evaluate_market over every agent each step (O(N)),
+                 with the loser found by an argmin (find_loser); its steps
+                 are a short Python loop, the oracle for the other engine
 * incremental -- after a single price change, recompute only the affected
                  neighborhood (production and wants of the changed agent
                  and its customers; demands of that set's suppliers; trades
@@ -13,11 +15,16 @@ Two interchangeable engines drive the evaluation:
                  The neighborhood depends on the network alone, so the
                  engine precomputes it once per agent from affected_sets,
                  as CSR arrays that the compiled kernel (_kernel.c) reads.
+                 The kernel runs a whole block of cuts: it takes each loser
+                 from a loser tree over the profits, repaired along the
+                 profit phase after every cut, and counts or logs the
+                 activity.
 
 Both engines keep their state in float64 numpy arrays.  Engine construction
 and renormalisation evaluate the full market too.  The incremental kernel
-repeats evaluate_market's arithmetic in its order, so the engines' loser
-sequences agree exactly, not just within tolerance.
+repeats evaluate_market's arithmetic in its order, and its tree breaks ties
+as np.argmin does, so the engines' loser sequences agree exactly, not just
+within tolerance.
 """
 
 from __future__ import annotations
@@ -157,6 +164,8 @@ class _State:
 
     def __set__(self, eng, value):
         eng.__dict__[self.slot][...] = value
+        if self.slot == "_profit":
+            eng._build_tree()
 
 
 class MarketEngine:
@@ -164,14 +173,17 @@ class MarketEngine:
 
     The state is float64 numpy arrays: prices `p`, productions `qp`, wants
     (per supplier edge), demands `qW`, trades `qt` and profits `profit`,
-    the one place the step reads the loser (find_loser) and the activity
-    from.  The arrays live as long as the engine; assigning to one copies
-    into it.
+    the one place the step reads the loser and the activity from.  The
+    arrays live as long as the engine; assigning to one copies into it.
+    `psum` is the price sum, which each cut updates.
 
     `recompute_all` writes evaluate_market's arrays into the state; the
     kernel (`_kernel.c`) runs the four phases (production and wants,
     demand, traded, profit) over the changed agent's affected_sets, with
     evaluate_market's arithmetic in its order, so both give the same bits.
+    The incremental engine also keeps a loser tree over the profits (an
+    int32 array, `_tree`): the kernel repairs it after every update, and
+    recompute_all and any assignment to `profit` rebuild it.
     """
 
     p = _State()
@@ -196,17 +208,33 @@ class MarketEngine:
         self._p = np.array(prices, dtype=np.float64)
         self._qp, self._qW, self._qt, self._profit = (np.empty(n) for _ in range(4))
         self._wants = np.empty(net.n_edges)
-        self.recompute_all()
-        self.psum = math.fsum(self._p)
+        # the full engine's struct only holds the price sum
+        self._market = _kernel.Market(two_thirds=TWO_THIRDS, n=n)
         if incremental:
+            self._lib = lib
             self._plan = plan = _plan(net)
             # every array the kernel reads is held by the engine or its plan
             self._w = np.ascontiguousarray(wts.weights_flat, dtype=np.float64)
+            size = 1 << (n - 1).bit_length()  # leaves of the loser tree
+            self._tree = np.empty(2 * size, dtype=np.int32)
             arrays = (self._p, self._wants, self._qp, self._qW, self._qt, self._profit,
                       self._w, plan.sup_ptr, plan.sup_idx, plan.in_ptr, plan.in_idx,
                       plan.ptr, plan.agents)
-            self._market = _kernel.Market(*(a.ctypes.data for a in arrays), TWO_THIRDS)
-            self._update_agent = partial(lib.socm_update_agent, ctypes.byref(self._market))
+            self._market = _kernel.Market(*(a.ctypes.data for a in arrays), TWO_THIRDS,
+                                          self._tree.ctypes.data, n, size)
+            self._market_ref = ctypes.byref(self._market)
+            self._update_agent = partial(lib.socm_update_agent, self._market_ref)
+        self.recompute_all()
+        self.psum = math.fsum(self._p)
+
+    @property
+    def psum(self):
+        """The sum of the prices, kept by each cut, in the kernel's struct."""
+        return self._market.psum
+
+    @psum.setter
+    def psum(self, value):
+        self._market.psum = value
 
     def _update(self, production, demand, traded, profit):
         """Recompute production and wants over `production`, demand over
@@ -217,7 +245,7 @@ class MarketEngine:
         agents = np.fromiter(chain(*phases), dtype=np.int32, count=bounds[-1])
         if agents.size and not 0 <= agents.min() <= agents.max() < self.n:
             raise IndexError("agent out of range")
-        self.touched_last = _kernel.load().socm_update(
+        self.touched_last = self._lib.socm_update(
             self._market, bounds.ctypes.data, agents.ctypes.data)
 
     def recompute_all(self):
@@ -225,23 +253,34 @@ class MarketEngine:
         snap = evaluate_market(self._p, self.net, self.wts)
         for field, slot in self._SNAPSHOT:
             getattr(self, slot)[...] = getattr(snap, field)
+        self._build_tree()
         self.touched_last = self.n  # profit recomputations in the last update
 
+    def _build_tree(self):
+        """Rebuild the loser tree from the profits (incremental engine)."""
+        if self.incremental:
+            self._lib.socm_tree_build(self._market)
+
+    @cached_property
+    def _touches(self):
+        """The profit recomputations of a cut of each agent's price (the
+        length of its plan's profit phase); None for the full engine."""
+        if not self.incremental:
+            return None
+        ptr = self._plan.ptr
+        return ptr[4::4] - ptr[3::4]
+
     # plans whose profit phases touch more than this share of the agents,
-    # on average, count a grid of thresholds faster with one sort per step
+    # on average, count a grid of thresholds at every step
     _SPARSE_SHARE = 1 / 8
 
     @cached_property
-    def profit_index(self):
-        """The profit phase of each agent's plan, as views into the plan's
-        agent array; None for the full engine and for dense plans, where
-        the step loop counts the activity at every step."""
-        if not self.incremental:
-            return None
-        ptr, agents = self._plan.ptr, self._plan.agents
-        if (ptr[4::4] - ptr[3::4]).sum() > self._SPARSE_SHARE * self.n * self.n:
-            return None
-        return [agents[a:b] for a, b in zip(ptr[3::4].tolist(), ptr[4::4].tolist())]
+    def sparse_plan(self):
+        """Whether a grid of thresholds is counted per block of cuts from
+        the profits each cut touched (see Simulation._advance): an
+        incremental engine whose profit phases are short."""
+        return bool(self.incremental
+                    and self._touches.sum() <= self._SPARSE_SHARE * self.n * self.n)
 
     def apply_price_change(self, agent, new_price):
         """Set one price and update every quantity it affects."""
@@ -488,11 +527,12 @@ def load_checkpoint(path):
 # ----------------------------------------------------------------------
 # activity counts of a stretch of steps from the profits its cuts changed
 
-def _count_block(out, f0, means, start, olds, news):
+def _count_block(out, f0, means, start, olds, news, lens):
     """Fill out[j, k] with the number of profits below f0[k] * means[j]
     at each step j of a stretch with no renormalisation, where `start` is
-    the profit vector of its first step and olds[j], news[j] are the
-    profits cut j touched, before and after it.
+    the profit vector of its first step, and cut j touched lens[j]
+    profits, logged one cut after another in the flat arrays `olds`
+    (before the cut) and `news` (after it).
 
     Cuts only lower the price sum, so means never rises and each threshold
     column f0_k * means rises (f0_k <= 0) or falls (f0_k > 0).  A value
@@ -508,12 +548,12 @@ def _count_block(out, f0, means, start, olds, news):
     thr = np.multiply.outer(means, f0)
     # values not below the highest threshold never count
     top = thr.max()
-    values = np.concatenate([start, *news, *olds])
+    n, ends = len(start), np.cumsum(lens)
+    values = np.concatenate([start, news[:ends[-1]], olds[:ends[-1]]])
     at = np.flatnonzero(values < top)
     vals = values[at]
     # the start values count from step 0; the values cut j writes (news)
     # or replaces (olds) enter or leave at step j + 1
-    n, ends = len(start), np.cumsum([len(v) for v in olds])
     since = np.where(at < n, 0, ends.searchsorted((at - n) % ends[-1], "right") + 1)
     sign = np.where(at < n + ends[-1], 1.0, -1.0)
     order = vals.argsort()
@@ -622,30 +662,39 @@ class Simulation:
         at most _BLOCK (rng.random(m) gives the doubles of m single draws);
         a block ends at every audit and checkpoint step.
 
-        A scalar threshold is counted at every step with one O(N) pass.  A
-        row of thresholds takes one sort per step on dense plans (the full
-        engine, or MarketEngine.profit_index None); on sparse ones the
-        loop logs the profits each cut touches, before and after it, and
-        counts the whole block from them at its end (_count_block), in a
-        new stretch after every renormalisation.  Both give the same counts.
+        The incremental engine runs each block in the kernel
+        (_kernel.c, socm_advance), which returns early when the prices
+        need renormalising; the full engine runs it in _full_block.  On
+        dense plans the kernel counts the thresholds at every step with one
+        O(N) pass per threshold.  On sparse plans (MarketEngine.sparse_plan)
+        it logs the profits each cut touches, before and after it, and the
+        counts are taken from them per stretch of the block with no
+        renormalisation (_count_block), in O(touched) per step.  All give
+        the same counts.
 
         Returns per-step arrays (loser, min_profit, mean_price,
         renorm_flags, activity or None) and the last cut eta.
         """
         eng, rng = self._eng, self._rng
-        p, profit, n = eng.p, eng.profit, eng.n
-        apply, level, eta_max = eng.apply_price_change, self._renorm_level, self.config.eta_max
-        loser_idx = np.empty(count, dtype=np.int32)
-        min_profit = np.empty(count)
-        mean_price = np.empty(count)
-        renorm = np.zeros(count, dtype=bool)
-        activity = (None if activity_f0 is None else
-                    np.empty((count,) + np.shape(activity_f0), dtype=np.int32))
-        scalar = activity is not None and activity.ndim == 1
-        # a grid of thresholds on sparse plans is counted per block from the
-        # profits each cut touched (_count_block); one threshold, and dense
-        # plans, are counted at every step
-        index = None if activity is None or scalar else eng.profit_index
+        steps = (np.empty(count, dtype=np.int32), np.empty(count), np.empty(count),
+                 np.zeros(count, dtype=bool))
+        activity = f0 = counts = None
+        if activity_f0 is not None:
+            activity = np.empty((count,) + np.shape(activity_f0), dtype=np.int32)
+            f0 = np.array(activity_f0, dtype=np.float64).reshape(-1)
+            counts = activity.reshape(count, len(f0))  # a view, one row per step
+        block = self._full_block
+        draws, *_, ksteps, _ = self._buffers
+        if eng.incremental:
+            block = self._kernel_block
+            ksteps.eta_max, ksteps.level = self.config.eta_max, self._renorm_level
+            ksteps.nf0 = 0 if f0 is None else len(f0)
+            ksteps.f0 = None if f0 is None else f0.ctypes.data
+            ksteps.activity = ksteps.olds = ksteps.news = None
+            if activity is not None and eng.sparse_plan:
+                logs = np.empty((2, min(count, self._BLOCK) * int(eng._touches.max())))
+                ksteps.olds, ksteps.news = logs[0].ctypes.data, logs[1].ctypes.data
+                block = partial(block, logs=logs)
         if not checkpoint_path:
             checkpoint_every = 0
         t, k, eta = self._t, 0, None
@@ -654,54 +703,80 @@ class Simulation:
             for every in (audit_interval, checkpoint_every):
                 if every:
                     m = min(m, every - t % every)
-            losers, mins, means = [], [], []
-            if index is not None:
-                first, start, olds, news = k, profit.copy(), [], []
-            for j, eta in enumerate((eta_max * rng.random(m)).tolist(), k):
-                mp = eng.psum / n
-                if mp < level:
-                    eng.renormalize()
-                    renorm[j] = True
-                    mp = eng.psum / n
-                    if index is not None:
-                        # every profit was rescaled: count up to here and
-                        # start again from the renormalised profits
-                        if j > first:
-                            _count_block(activity[first:j], activity_f0, means[first - k:],
-                                         start, olds, news)
-                        first, start, olds, news = j, profit.copy(), [], []
-                loser = find_loser(profit)
-                losers.append(loser)
-                mins.append(profit[loser])
-                means.append(mp)
-                if index is not None:
-                    ix = index[loser]
-                    olds.append(profit[ix])
-                elif scalar:
-                    # one threshold: an O(N) count is cheaper than the sort below
-                    activity[j] = np.count_nonzero(profit < activity_f0 * mp)
-                elif activity is not None:
-                    # one O(N log N) sort serves every threshold at once
-                    ranked = profit.copy()
-                    ranked.sort()
-                    activity[j] = ranked.searchsorted(activity_f0 * mp)
-                apply(loser, p[loser] * (1.0 - eta))
-                if index is not None:
-                    news.append(profit[ix])
-            loser_idx[k:k + m] = losers
-            min_profit[k:k + m] = mins
-            mean_price[k:k + m] = means
-            if index is not None:
-                _count_block(activity[first:k + m], activity_f0, mean_price[first:k + m],
-                             start, olds, news)
+            # the doubles of rng.random(m); the cuts are eta_max times them
+            block(k, rng.random(out=draws[:m]), *steps, f0, counts)
+            eta = self.config.eta_max * draws.item(m - 1)
             k += m
             t += m
             self._t = t
             if audit_interval and t % audit_interval == 0:
                 eng.audit()
             if checkpoint_every and t % checkpoint_every == 0:
-                save_checkpoint(checkpoint_path, t, eng.p, rng, eng.psum, level)
-        return loser_idx, min_profit, mean_price, renorm, activity, eta
+                save_checkpoint(checkpoint_path, t, eng.p, rng, eng.psum, self._renorm_level)
+        return (*steps, activity, eta)
+
+    @cached_property
+    def _buffers(self):
+        """One block's uniform draws, and the kernel's losers, min profits
+        and mean prices, with the kernel's `steps` struct that holds their
+        addresses: taking an address through ctypes costs about as much as
+        a kernel step, so it is done once."""
+        arrays = (np.empty(self._BLOCK), np.empty(self._BLOCK, dtype=np.int32),
+                  np.empty(self._BLOCK), np.empty(self._BLOCK))
+        ksteps = _kernel.Steps(*(a.ctypes.data for a in arrays))
+        return (*arrays, ksteps, ctypes.byref(ksteps))
+
+    def _full_block(self, k, draws, loser_idx, min_profit, mean_price, renorm, f0, counts):
+        """Steps k .. k + len(draws) - 1 of _advance, one at a time, on the
+        full engine; counts[j] is step j's row of activity counts."""
+        eng, level = self._eng, self._renorm_level
+        p, profit, n = eng.p, eng.profit, eng.n
+        for j, eta in enumerate((self.config.eta_max * draws).tolist(), k):
+            mp = eng.psum / n
+            if mp < level:
+                eng.renormalize()
+                renorm[j] = True
+                mp = eng.psum / n
+            loser = find_loser(profit)
+            loser_idx[j] = loser
+            min_profit[j] = profit[loser]
+            mean_price[j] = mp
+            if counts is not None:
+                counts[j] = np.count_nonzero(profit[:, None] < f0 * mp, axis=0)
+            eng.apply_price_change(loser, p[loser] * (1.0 - eta))
+
+    def _kernel_block(self, k, draws, loser_idx, min_profit, mean_price, renorm, f0, counts,
+                      logs=None):
+        """Steps k .. k + len(draws) - 1 of _advance in the kernel, with a
+        renormalisation wherever it stops early.  The kernel counts the
+        rows of activity counts, or with `logs` it logs the touched profits
+        to its two rows, from which the rows are counted per stretch."""
+        eng = self._eng
+        _, losers, mins, means, ksteps, ksteps_ref = self._buffers
+        if counts is not None and logs is None:
+            ksteps.activity = counts[k:].ctypes.data
+        market, advance, m = eng._market_ref, eng._lib.socm_advance, len(draws)
+        done = 0
+        while True:
+            if logs is not None:
+                start = eng.profit.copy()
+            # renorm[k + done] is set where the kernel stopped for a
+            # renormalisation, which then must not stop it again
+            stop = advance(market, ksteps_ref, done, m, int(renorm[k + done]))
+            if stop < 0:
+                raise MarketDomainError("price must remain positive")
+            if logs is not None and stop > done:
+                _count_block(counts[k + done:k + stop], f0, means[done:stop], start,
+                             *logs, eng._touches[losers[done:stop]])
+            done = stop
+            if done == m:
+                break
+            eng.renormalize()
+            renorm[k + done] = True
+        loser_idx[k:k + m] = losers[:m]
+        min_profit[k:k + m] = mins[:m]
+        mean_price[k:k + m] = means[:m]
+        eng.touched_last = int(eng._touches[losers[m - 1]])
 
     @classmethod
     def resume(cls, net, wts, config, checkpoint_path, engine="incremental"):

@@ -378,6 +378,20 @@ class TestEngineEquivalence:
                 touched.append(sim.engine.touched_last)
             assert max(touched) <= 7
 
+    def test_touched_last_after_step_and_run(self):
+        net = sm.build_corner_lattice(8, "RT")
+        wts = sm.assign_weights_fixed(net, 0.25)
+        cfg = sm.SimConfig(total_steps=300, transient_steps=0, seed=3)
+        sim = sm.Simulation(net, wts, cfg)
+        for k in range(20):
+            t, loser, smin, mp, eta, renormed = sim.step()
+            assert (t, type(loser), type(eta), type(renormed)) == (k, int, float, bool)
+            assert float(smin) < 0.0 < float(mp)
+            assert sim.engine.touched_last == len(sm.affected_sets(net, loser).profit)
+        rec = sim.run()
+        last = int(rec.loser_index[-1])
+        assert sim.engine.touched_last == len(sm.affected_sets(net, last).profit)
+
     def test_full_engine_recomputes_every_profit(self):
         net = sm.build_ring(50)
         wts = sm.assign_weights_fixed(net, 0.4)
@@ -487,6 +501,61 @@ class TestStepLoop:
             assert np.array_equal(joined, getattr(full, name)), name
 
 
+class TestKernelLoopAgainstFullEngine:
+    """The kernel's block of cuts (incremental engine) against the full
+    engine's per-step Python loop, the oracle: every column and the final
+    state bit for bit, in each activity mode, with audits, renormalisation
+    at every step, and a checkpoint and resume in the middle of a block."""
+
+    NETS = {
+        "rt32": (lambda: sm.build_corner_lattice(32, "RT"), True),
+        "ring30": (lambda: sm.build_ring(30), False),
+        "er100": (lambda: sm.build_er_embedded(100, 0.05, np.random.default_rng([4, 1])), False),
+        "manhattan6": (lambda: sm.build_manhattan(6), False),
+        "f6": (lambda: sm.build_f_lattice(6), False),
+    }
+    # no activity, a scalar threshold, and a grid (counted from the logged
+    # profits on sparse plans, at every step on dense ones)
+    MODES = {"none": None, "scalar": -0.004,
+             "grid": np.array([-0.3, -0.006, -0.004, -0.002, 0.0, 0.004])}
+    COLUMNS = ("loser_index", "min_profit", "mean_price", "renorm_flags", "activity")
+
+    @pytest.mark.parametrize("renorm_threshold", [None, 1e9])
+    @pytest.mark.parametrize("net_name", list(NETS))
+    def test_kernel_loop_equals_full_engine(self, tmp_path, net_name, renorm_threshold):
+        maker, sparse = self.NETS[net_name]
+        net = maker()
+        wts = sm.assign_weights_uniform(net, np.random.default_rng(3))
+        # more steps than one block of cuts
+        cfg = sm.SimConfig(total_steps=1500, transient_steps=0, seed=6,
+                           renorm_threshold=renorm_threshold)
+        for mode, f0 in self.MODES.items():
+            full = sm.Simulation(net, wts, cfg, engine="full")
+            ref = full.run(activity_f0=f0)
+            # checkpoints at 700 (inside the second block of an unbroken
+            # run) and 1400, audits every 97 steps; stop at 1000, resume at 700
+            ckpt = tmp_path / f"{mode}.ckpt"
+            sim = sm.Simulation(net, wts, dataclasses.replace(cfg, total_steps=1000))
+            assert sim.engine.sparse_plan is sparse
+            head = sim.run(activity_f0=f0, audit_interval=97,
+                           checkpoint_path=ckpt, checkpoint_every=700)
+            assert sm.load_checkpoint(ckpt)[0] == 700
+            sim = sm.Simulation.resume(net, wts, cfg, ckpt)
+            tail = sim.run(activity_f0=f0, audit_interval=97)
+            for name in self.COLUMNS:
+                got = getattr(head, name)
+                if got is None:
+                    assert f0 is None and getattr(ref, name) is None
+                    continue
+                joined = np.concatenate([got[:700], getattr(tail, name)])
+                assert joined.dtype == getattr(ref, name).dtype, (mode, name)
+                assert np.array_equal(joined, getattr(ref, name)), (mode, name)
+            assert np.array_equal(sim.engine.p, full.engine.p), mode
+            assert np.array_equal(sim.engine.profit, full.engine.profit), mode
+            assert sim.engine.psum == full.engine.psum, mode
+            assert sim._rng.bit_generator.state == full._rng.bit_generator.state, mode
+
+
 def rt_lattice(L=32):
     net = sm.build_corner_lattice(L, "RT")
     return net, sm.assign_weights_fixed(net, 0.25)
@@ -505,13 +574,13 @@ class TestBlockCount:
     def test_sparse_plans_take_the_block_path(self):
         net, wts = rt_lattice()
         prices = 10.0 + np.random.default_rng(0).random(net.n_agents)
-        assert sm.MarketEngine(net, wts, prices).profit_index is not None
+        assert sm.MarketEngine(net, wts, prices).sparse_plan is True
         small, small_wts = rt_lattice(16)
-        assert sm.MarketEngine(small, small_wts, prices[:256]).profit_index is not None
-        assert sm.MarketEngine(net, wts, prices, incremental=False).profit_index is None
+        assert sm.MarketEngine(small, small_wts, prices[:256]).sparse_plan is True
+        assert sm.MarketEngine(net, wts, prices, incremental=False).sparse_plan is False
         ring = sm.build_ring(30)
         ring_wts = sm.assign_weights_fixed(ring, 0.4)
-        assert sm.MarketEngine(ring, ring_wts, prices[:30]).profit_index is None
+        assert sm.MarketEngine(ring, ring_wts, prices[:30]).sparse_plan is False
 
     # a renormalisation at every step recomputes every agent, so that case
     # runs on a smaller lattice, just past one block
@@ -557,7 +626,9 @@ class TestBlockCount:
                 profit[ix] = rng.integers(-8, 9, len(ix))
                 news.append(profit[ix])
             out = np.empty((m, len(f0)), dtype=np.int32)
-            sm.dynamics._count_block(out, f0, means, start, olds, news)
+            lens = [len(v) for v in olds]
+            sm.dynamics._count_block(out, f0, means, start, np.concatenate(olds),
+                                     np.concatenate(news), lens)
             assert out.tolist() == expected
 
     def test_audit_and_checkpoint_cadence_with_resume(self, tmp_path):

@@ -1,4 +1,8 @@
-"""Building, caching and loading the incremental engine's C kernel."""
+"""Building, caching and loading the incremental engine's C kernel, and
+its loser tree."""
+
+import ctypes
+import subprocess
 
 import numpy as np
 import pytest
@@ -96,3 +100,108 @@ def test_agent_out_of_range_is_rejected_before_the_kernel(agent):
         eng.apply_price_change(agent, 9.9)
     assert np.all(eng.p == 10.0)
     eng.audit()
+
+
+def test_kernel_builds_without_warnings(tmp_path):
+    cc = _kernel.compiler()
+    if cc is None:
+        pytest.skip("no C compiler")
+    done = subprocess.run(
+        [cc, *_kernel.FLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "kernel.so"), str(_kernel.SOURCE), "-lm"],
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+class LoserTree:
+    """The kernel's loser tree over a profit vector of its own."""
+
+    def __init__(self, profit):
+        self.lib = _kernel.load()
+        self.profit = np.array(profit, dtype=np.float64)
+        n = len(self.profit)
+        size = 1 << (n - 1).bit_length()
+        self.tree = np.empty(2 * size, dtype=np.int32)
+        self.market = _kernel.Market(profit=self.profit.ctypes.data,
+                                     tree=self.tree.ctypes.data, n=n, size=size)
+        self.lib.socm_tree_build(ctypes.byref(self.market))
+
+    def set(self, i, value):
+        self.profit[i] = value
+        self.lib.socm_tree_fix(ctypes.byref(self.market), i)
+
+    @property
+    def root(self):
+        return int(self.tree[1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 1000])
+def test_loser_tree_root_is_argmin(n):
+    rng = np.random.default_rng(n)
+    # few distinct values, so that minima repeat; -0.0 equals 0.0
+    values = np.array([-1.0, -0.0, 0.0, 0.5, 2.0, -np.inf, np.inf])
+    tree = LoserTree(rng.choice(values[:5], n))
+    assert tree.root == np.argmin(tree.profit)
+    for _ in range(40 * n):
+        i = int(rng.integers(n))
+        tree.set(i, values[rng.integers(len(values))] if rng.random() < 0.9 else np.nan)
+        assert tree.root == np.argmin(tree.profit)
+        if rng.random() < 0.1:  # clear the NaNs
+            nans = np.flatnonzero(np.isnan(tree.profit))
+            for j in nans[rng.permutation(len(nans))]:
+                tree.set(int(j), rng.choice(values))
+            assert tree.root == np.argmin(tree.profit)
+    tree.lib.socm_tree_build(ctypes.byref(tree.market))
+    assert tree.root == np.argmin(tree.profit)
+
+
+def test_loser_tree_ties_and_nan():
+    tree = LoserTree([0.0, -0.0, 1.0, -0.0, 0.0])
+    assert tree.root == 0  # -0.0 == 0.0: the lowest index wins
+    tree.set(4, -1.0)
+    tree.set(2, -1.0)
+    assert tree.root == 2
+    tree.set(3, np.nan)
+    tree.set(1, np.nan)
+    assert tree.root == 1  # the first NaN, as np.argmin
+    tree.set(1, -5.0)
+    assert tree.root == 3
+    tree.set(3, 7.0)
+    assert tree.root == 1
+
+
+# the kernel repairs the tree leaf by leaf on sparse plans (the ring of
+# 200, RT32) and replays every match on dense ones (ER100, F6)
+@pytest.mark.parametrize("make", [
+    lambda rng: sm.build_ring(200),
+    lambda rng: sm.build_corner_lattice(32, "RT"),
+    lambda rng: sm.build_er_embedded(100, 0.05, rng),
+    lambda rng: sm.build_f_lattice(6),
+], ids=["ring200", "rt32", "er100", "f6"])
+def test_engine_tree_follows_every_update(make):
+    rng = np.random.default_rng(5)
+    net = make(rng)
+    wts = sm.assign_weights_uniform(net, rng)
+    eng = sm.MarketEngine(net, wts, 10.0 + rng.random(net.n_agents))
+    assert eng._tree[1] == np.argmin(eng.profit)
+    # cuts of any agent, not only of the loser, move profits all over;
+    # every other update takes its phases in a random order, so any leaf
+    # can come last; every node of the repaired tree is that of a rebuilt one
+    for k in range(300):
+        c = int(rng.integers(net.n_agents))
+        cut = eng.p[c] * (1.0 - 0.2 * rng.random())
+        if k % 2:
+            eng.apply_price_change(c, cut)
+        else:
+            eng.p[c] = cut
+            eng._update(*(rng.permutation(phase).tolist() for phase in sm.affected_sets(net, c)))
+        assert eng._tree[1] == np.argmin(eng.profit)
+        repaired = eng._tree.copy()
+        eng._build_tree()
+        assert np.array_equal(eng._tree, repaired)
+    profit = eng.profit.copy()
+    profit[net.n_agents // 2] = profit.min() - 1.0
+    eng.profit = profit
+    assert eng._tree[1] == net.n_agents // 2
+    eng.renormalize()
+    assert eng._tree[1] == np.argmin(eng.profit)
