@@ -80,12 +80,10 @@ def _intact(path):
 
 def _open(path):
     lib = ctypes.CDLL(str(path))
-    market, ptr, i64 = ctypes.POINTER(Market), ctypes.c_void_p, ctypes.c_int64
+    market, ptr = ctypes.POINTER(Market), ctypes.c_void_p
     lib.socm_update.argtypes = (market, ptr, ptr)
     lib.socm_tree_build.argtypes = (market,)
     lib.socm_tree_build.restype = None
-    lib.socm_tree_fix.argtypes = (market, i64)
-    lib.socm_tree_fix.restype = None
     # the per-step and per-block entries have no argtypes, whose
     # conversions cost more than the kernel on small plans: pass them
     # ctypes.byref(struct) and ints

@@ -349,7 +349,7 @@ def threshold_scan(net, wts, config, f0_grid=None, engine="incremental",
     sim = Simulation(net, wts, config, engine=engine)
     _advance_to(sim, config.transient_steps)
     counts = track_activity(sim, f0_grid)
-    # free the engine and its update plans before the per-threshold analysis
+    # free the engine and its update plan before the per-threshold analysis
     del sim
     entries = []
     for k, f0 in enumerate(f0_grid):

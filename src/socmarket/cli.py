@@ -103,6 +103,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown engine {self.engine!r}")
         if self.n_seeds < 1 or self.workers < 1:
             raise ConfigError("n_seeds and workers must be >= 1")
+        if self.checkpoint_every < 0:
+            raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         return self
 
     # execution-resource fields do not affect results and stay out of
@@ -126,8 +128,9 @@ class ExperimentConfig:
 
 
 # INI section -> key -> cast.  A key left out keeps its SimConfig ([sim])
-# or ExperimentConfig field default; [output] dir is out_dir.  The first
-# bad value in this order ([sim], then field order) is the error reported.
+# or ExperimentConfig field default; [output] dir is out_dir.  Other
+# sections and keys (lowercased, as configparser reads keys) are errors.
+# The first bad value in this order ([sim], then field order) is reported.
 INI_KEYS = {
     "sim": {"price_floor": float, "eta_max": float, "total_steps": int,
             "transient_steps": int, "seed": int, "renorm_threshold": float},
@@ -149,6 +152,13 @@ def load_config(path):
         raise ConfigError(str(exc)) from exc
     if not found:
         raise ConfigError(f"cannot read config file {path}")
+    # [DEFAULT] too: its keys would reach every section
+    for section in (cp.default_section, *cp.sections()):
+        if section not in (cp.default_section, *INI_KEYS):
+            raise ConfigError(f"unknown section [{section}]")
+        unknown = set(cp[section]) - {key.lower() for key in INI_KEYS.get(section, ())}
+        if unknown:
+            raise ConfigError(f"unknown key [{section}] {min(unknown)}")
     if not cp.has_option("topology", "kind"):
         raise ConfigError("[topology] kind is required")
     given = {}
@@ -337,17 +347,15 @@ def cmd_avalanche_stats(ecfg, args):
         if ecfg.f0 is None and ecfg.f0_quantile is None:
             f0, f0_mode, y = _scan_for_threshold(ecfg, net, wts, sim_cfg)
         else:
-            quantile_sim = None
             if ecfg.f0 is not None:
                 f0, f0_mode = float(ecfg.f0), "absolute"
             else:
-                quantile_sim = dynamics.Simulation(net, wts, sim_cfg, engine=ecfg.engine)
-                f0 = analysis.stationary_profit_quantile(quantile_sim, ecfg.f0_quantile)
+                f0 = analysis.stationary_profit_quantile(
+                    dynamics.Simulation(net, wts, sim_cfg, engine=ecfg.engine),
+                    ecfg.f0_quantile)
                 f0_mode = f"quantile({ecfg.f0_quantile})"
-            # built while quantile_sim lives, sim shares its update plan
-            sim = dynamics.Simulation(net, wts, sim_cfg, engine=ecfg.engine)
-            del quantile_sim
-            record = sim.run(activity_f0=f0)
+            record = dynamics.Simulation(net, wts, sim_cfg, engine=ecfg.engine).run(
+                activity_f0=f0)
             y = record.post(record.activity)
     out = Path(ecfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

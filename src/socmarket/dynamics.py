@@ -13,7 +13,7 @@ Two interchangeable engines drive the evaluation:
                  and its customers; demands of that set's suppliers; trades
                  over the union; profits over the union and its customers).
                  The neighborhood depends on the network alone, so the
-                 engine precomputes it once per agent from affected_sets,
+                 engine builds it for every agent at once (update_plan),
                  as CSR arrays that the compiled kernel (_kernel.c) reads.
                  The kernel runs a whole block of cuts: it takes each loser
                  from a loser tree over the profits, repaired along the
@@ -33,7 +33,6 @@ import ctypes
 import math
 import os
 import struct
-import weakref
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
@@ -71,6 +70,8 @@ class SimConfig:
             raise ValueError("need 0 <= transient_steps < total_steps")
         if self.renorm_threshold is not None and not self.renorm_threshold > 0.0:
             raise ValueError("renorm_threshold must be positive or None")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         return self
 
 
@@ -91,61 +92,61 @@ class AffectedSets(NamedTuple):
     profit: tuple
 
 
-def affected_sets(net, changed):
-    """Agents whose quantities can change after one price change.
+def _expand(keys, ptr, idx, n):
+    """The keys r * n + idx[e] for each key r * n + a and each entry e of
+    row a of the CSR arrays (ptr, idx)."""
+    a = keys % n
+    width = ptr[a + 1] - ptr[a]
+    e = np.repeat(ptr[a] - np.cumsum(width) + width, width)
+    e += np.arange(e.size)
+    return np.repeat(keys - a, width) + idx[e]
+
+
+def _distinct(*parts):
+    """The distinct keys of the parts, ascending (a sort and a neighbour
+    compare; np.unique's hash path is slower)."""
+    keys = np.sort(np.concatenate(parts))
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+
+
+def update_plan(net, changed):
+    """Agents whose quantities can change after a price change of each of
+    `changed`, as CSR arrays (ptr, agents): phase k (production, demand,
+    traded, profit) of changed[r] is agents[ptr[4r + k]:ptr[4r + k + 1]].
 
     The dependency chain: production and wants change for the changed
     agent and its customers (A); demand changes for suppliers of A (B);
-    traded for C = A | B; profit for C and customers of C.  Each phase
-    lists an agent once.
-
-    The order within a phase is free, so the phases are formed as set
-    unions: in the update kernel (_kernel.c) each agent of a phase writes
-    only its own slots (its production and wants, its demand, its trade,
-    its profit) and reads only prices and what earlier phases wrote, so
-    any order gives the same bits.
+    traded for C = A | B; profit for C and customers of C.  Each phase is
+    formed for all rows at once, as sorted distinct keys r * N + agent
+    expanded through the network's CSR arrays, so it lists an agent once,
+    ascending.  Any order would do: in the update kernel (_kernel.c) each
+    agent of a phase writes only its own slots and reads only prices and
+    what earlier phases wrote.
     """
-    sup, cust = net.suppliers, net.customers
-    prod = {changed, *cust[changed]}
-    dem = set().union(*map(sup.__getitem__, prod))
-    traded = prod | dem
-    profit = traded.union(*map(cust.__getitem__, traded))
-    return AffectedSets(tuple(prod), tuple(dem), tuple(traded), tuple(profit))
+    n = net.n_agents
+    changed = np.asarray(changed, dtype=np.int64)
+    if changed.size and not 0 <= changed.min() <= changed.max() < n:
+        raise IndexError("agent out of range")
+    cust = net.row_agent[net.in_idx]
+    own = np.arange(changed.size) * n + changed
+    prod = _distinct(own, _expand(own, net.in_ptr, cust, n))
+    dem = _distinct(_expand(prod, net.sup_ptr, net.sup_idx, n))
+    traded = _distinct(prod, dem)
+    phases = (prod, dem, traded, _distinct(traded, _expand(traded, net.in_ptr, cust, n)))
+    counts = np.stack([np.bincount(keys // n, minlength=changed.size) for keys in phases], 1)
+    ptr = np.concatenate(([0], np.cumsum(counts)))
+    agents = np.empty(ptr[-1], dtype=np.int32)
+    for k, keys in enumerate(phases):  # row r's keys go to ptr[4r + k] on
+        dest = np.repeat(ptr[k:-1:4] - np.cumsum(counts[:, k]) + counts[:, k], counts[:, k])
+        dest += np.arange(keys.size)
+        agents[dest] = keys % n
+    return ptr, agents
 
 
-class _Plan:
-    """The affected_sets of every agent of a network as CSR arrays: phase k
-    (production, demand, traded, profit) of agent c's plan is
-    agents[ptr[4c + k]:ptr[4c + k + 1]].  It also holds the network's edge
-    arrays in the types the kernel reads, and the network itself, so that
-    no other network takes its id while it lives."""
-
-    def __init__(self, net):
-        self.net = net
-        phases = list(chain.from_iterable(affected_sets(net, c) for c in range(net.n_agents)))
-        self.ptr = np.zeros(len(phases) + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, phases), dtype=np.int64, count=len(phases)),
-                  out=self.ptr[1:])
-        self.agents = np.fromiter(chain.from_iterable(phases), dtype=np.int32,
-                                  count=self.ptr[-1])
-        self.sup_ptr = np.ascontiguousarray(net.sup_ptr, dtype=np.int64)
-        self.sup_idx = np.ascontiguousarray(net.sup_idx, dtype=np.int64)
-        self.in_ptr = np.zeros(net.n_agents + 1, dtype=np.int64)
-        np.cumsum([len(e) for e in net.in_edges], out=self.in_ptr[1:])
-        self.in_idx = np.fromiter(chain.from_iterable(net.in_edges), dtype=np.int64,
-                                  count=net.n_edges)
-
-
-# one plan per network, shared by the engines built on it while any of
-# them lives
-_PLANS = weakref.WeakValueDictionary()
-
-
-def _plan(net):
-    plan = _PLANS.get(id(net))
-    if plan is None:
-        plan = _PLANS[id(net)] = _Plan(net)
-    return plan
+def affected_sets(net, changed):
+    """The phases of agent `changed`'s update_plan, as tuples of agents."""
+    ptr, agents = update_plan(net, [changed])
+    return AffectedSets(*(tuple(agents[a:b].tolist()) for a, b in zip(ptr[:-1], ptr[1:])))
 
 
 # ----------------------------------------------------------------------
@@ -179,7 +180,7 @@ class MarketEngine:
 
     `recompute_all` writes evaluate_market's arrays into the state; the
     kernel (`_kernel.c`) runs the four phases (production and wants,
-    demand, traded, profit) over the changed agent's affected_sets, with
+    demand, traded, profit) of the changed agent's update_plan row, with
     evaluate_market's arithmetic in its order, so both give the same bits.
     The incremental engine also keeps a loser tree over the profits (an
     int32 array, `_tree`): the kernel repairs it after every update, and
@@ -200,26 +201,26 @@ class MarketEngine:
         # built first, so that a missing compiler fails before any work
         lib = _kernel.load() if incremental else None
         n = net.n_agents
-        self.net = net
-        self.wts = wts
-        self.n = n
-        self.incremental = incremental
+        self.net, self.wts, self.n, self.incremental = net, wts, n, incremental
         # state; evaluate_market rejects a wrong shape or a price <= 0
         self._p = np.array(prices, dtype=np.float64)
         self._qp, self._qW, self._qt, self._profit = (np.empty(n) for _ in range(4))
         self._wants = np.empty(net.n_edges)
         # the full engine's struct only holds the price sum
         self._market = _kernel.Market(two_thirds=TWO_THIRDS, n=n)
+        # the profits a cut of each agent's price recomputes (full engine: None)
+        self._touches = None
         if incremental:
             self._lib = lib
-            self._plan = plan = _plan(net)
-            # every array the kernel reads is held by the engine or its plan
+            self._plan_ptr, self._plan = update_plan(net, np.arange(n))
+            self._touches = self._plan_ptr[4::4] - self._plan_ptr[3::4]
+            # every array the kernel reads is held by the engine or its network
             self._w = np.ascontiguousarray(wts.weights_flat, dtype=np.float64)
             size = 1 << (n - 1).bit_length()  # leaves of the loser tree
             self._tree = np.empty(2 * size, dtype=np.int32)
             arrays = (self._p, self._wants, self._qp, self._qW, self._qt, self._profit,
-                      self._w, plan.sup_ptr, plan.sup_idx, plan.in_ptr, plan.in_idx,
-                      plan.ptr, plan.agents)
+                      self._w, net.sup_ptr, net.sup_idx, net.in_ptr, net.in_idx,
+                      self._plan_ptr, self._plan)
             self._market = _kernel.Market(*(a.ctypes.data for a in arrays), TWO_THIRDS,
                                           self._tree.ctypes.data, n, size)
             self._market_ref = ctypes.byref(self._market)
@@ -260,15 +261,6 @@ class MarketEngine:
         """Rebuild the loser tree from the profits (incremental engine)."""
         if self.incremental:
             self._lib.socm_tree_build(self._market)
-
-    @cached_property
-    def _touches(self):
-        """The profit recomputations of a cut of each agent's price (the
-        length of its plan's profit phase); None for the full engine."""
-        if not self.incremental:
-            return None
-        ptr = self._plan.ptr
-        return ptr[4::4] - ptr[3::4]
 
     # plans whose profit phases touch more than this share of the agents,
     # on average, count a grid of thresholds at every step
@@ -639,6 +631,8 @@ class Simulation:
         start = self._t
         if cfg.total_steps <= start:
             raise ValueError("simulation already past total_steps")
+        if audit_interval < 0 or checkpoint_every < 0:
+            raise ValueError("audit_interval and checkpoint_every must be >= 0")
         loser_idx, min_profit, mean_price, renorm, activity, _ = self._advance(
             cfg.total_steps - start, activity_f0, audit_interval,
             checkpoint_path, checkpoint_every)

@@ -48,7 +48,7 @@ class TradeNetwork:
     `suppliers` is a sequence of rows, or an (N, K) integer array when every
     agent has K suppliers.  The constructor validates and transposes with
     whole-array numpy operations: one stable argsort of the supplier column
-    orders each good's customers by ascending index, with in_edges in the
+    orders each good's customers by ascending index, with in_idx in the
     same order, which fixes the order in which the engine sums demand.
 
     Attributes
@@ -56,7 +56,9 @@ class TradeNetwork:
     n_agents : int
     suppliers : list of lists, suppliers[i] = ordered supplier indices of i
     customers : list of lists, exact transpose of suppliers, ascending
-    in_edges  : list of lists, in_edges[j] = supplier-edge ids of customers[j]
+    sup_ptr, sup_idx : int64 CSR arrays of suppliers, by edge id
+    in_ptr, in_idx   : int64 CSR arrays of the transpose, in_idx[in_ptr[j]:
+                       in_ptr[j + 1]] = supplier-edge ids of customers[j]
     embedding : (N,) or (N, 2) int array of agent coordinates
     extents   : tuple of periodic linear sizes, one per embedding dimension
     kind      : one of NETWORK_KINDS
@@ -79,8 +81,7 @@ class TradeNetwork:
             degrees = np.fromiter(map(len, suppliers), dtype=np.int64, count=n)
             flat = np.fromiter(chain.from_iterable(suppliers), dtype=np.int64,
                                count=degrees.sum())
-        self.sup_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=self.sup_ptr[1:])
+        self.sup_ptr = np.concatenate(([0], np.cumsum(degrees)))
         self.sup_idx = flat.astype(np.int64)
         self.row_agent = np.repeat(np.arange(n, dtype=np.int64), degrees)
 
@@ -103,11 +104,9 @@ class TradeNetwork:
 
         # transpose; edges are stored by ascending row, so a stable sort on
         # the supplier keeps each good's customers ascending
-        order = np.argsort(self.sup_idx, kind="stable")
-        cust_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.sup_idx, minlength=n), out=cust_ptr[1:])
-        self.customers = _split_rows(self.row_agent[order], cust_ptr)
-        self.in_edges = _split_rows(order, cust_ptr)
+        self.in_idx = np.argsort(self.sup_idx, kind="stable").astype(np.int64, copy=False)
+        self.in_ptr = np.concatenate(([0], np.cumsum(np.bincount(self.sup_idx, minlength=n))))
+        self.customers = _split_rows(self.row_agent[self.in_idx], self.in_ptr)
 
     @property
     def n_edges(self):
@@ -242,8 +241,7 @@ def build_er_embedded(n_agents, alpha, rng):
     for i in np.flatnonzero(~mat.any(axis=1)):
         j = int(rng.integers(n - 1))
         mat[i, j + (j >= i)] = True  # skip self
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(mat.sum(axis=1), out=ptr[1:])
+    ptr = np.concatenate(([0], np.cumsum(mat.sum(axis=1))))
     return TradeNetwork(_split_rows(np.nonzero(mat)[1], ptr),
                         np.arange(n), (n,), "er_embedded")
 

@@ -152,6 +152,45 @@ class TestConfigParsing:
                            "[analysis]\nf0 = -0.01\nf0_quantile = 0.05\n")
         assert cli.main(["run", "--config", cfg]) == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("[sim]\ntotal_step = 3000\n", "unknown key [sim] total_step"),
+        ("[sim]\nTotal_Step = 3000\n", "unknown key [sim] total_step"),
+        ("[simulation]\nseed = 1\n", "unknown section [simulation]"),
+        ("[Sim]\nseed = 1\n", "unknown section [Sim]"),
+        ("[DEFAULT]\nseed = 1\n", "unknown key [DEFAULT] seed"),
+        ("[output]\ndir = x\nworkers = 2\n", "unknown key [output] workers"),
+    ], ids=["typo", "typo_mixed_case", "section", "section_case", "default", "other_section"])
+    def test_unknown_names_rejected(self, tmp_path, capsys, text, message):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.ini", "[topology]\nkind = ring\nn = 10\n" + text)
+        with pytest.raises(sm.ConfigError) as exc:
+            cli.load_config(cfg)
+        assert str(exc.value) == message
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_key_case_follows_configparser(self, tmp_path):
+        cfg = write_config(tmp_path / "c.ini",
+                           "[topology]\nKIND = corner\nl = 4\n[sim]\nSeed = 2\n")
+        ecfg = cli.load_config(cfg)
+        assert (ecfg.kind, ecfg.L, ecfg.sim.seed) == ("corner", 4, 2)
+
+    @pytest.mark.parametrize("sim, output, argv, message", [
+        ("", "", ["--seed", "-3"], "seed must be >= 0, got -3"),
+        ("seed = -1\n", "", [], "seed must be >= 0, got -1"),
+        ("", "checkpoint_every = -5\n", [], "checkpoint_every must be >= 0, got -5"),
+    ], ids=["seed_flag", "seed_key", "checkpoint_every"])
+    def test_negative_seed_or_interval_is_a_config_error(self, tmp_path, capsys, sim,
+                                                          output, argv, message):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.ini", "[topology]\nkind = ring\nn = 10\n"
+                           f"[sim]\ntotal_steps = 100\ntransient_steps = 10\n{sim}"
+                           f"[output]\n{output}")
+        assert cli.main(["run", "--config", cfg, "--out", str(out), *argv]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_needs_config_or_run(self):
         assert cli.main(["run"]) == 1
 
@@ -459,22 +498,6 @@ class TestBuildCount:
             del calls[:]
             assert cli.main([cmd, "--config", cfg, "--run", record]) == 0, cmd
             assert calls == [], cmd
-
-    def test_quantile_threshold_builds_one_update_plan(self, tmp_path, monkeypatch):
-        # two simulations on one network (the quantile, then the run) share
-        # the incremental engine's per-agent plan
-        out = tmp_path / "out"
-        cfg = write_config(tmp_path / "c.ini", RING_CFG.format(out=out).replace(
-            "f0 = -0.005", "f0_quantile = 0.05"))
-        calls = []
-        plan = sm.dynamics.affected_sets
-
-        def counting(net, changed):
-            calls.append(changed)
-            return plan(net, changed)
-        monkeypatch.setattr(sm.dynamics, "affected_sets", counting)
-        assert cli.main(["avalanche-stats", "--config", cfg]) == 0
-        assert sorted(calls) == list(range(24))
 
 
 class TestImports:

@@ -41,6 +41,7 @@ class TestSimConfig:
         dict(eta_max=1.0),
         dict(transient_steps=100, total_steps=100),
         dict(renorm_threshold=-1.0),
+        dict(seed=-3),
     ])
     def test_invalid_configs(self, kw):
         with pytest.raises(ValueError):
@@ -129,26 +130,52 @@ class TestAffectedSets:
 
     @pytest.mark.parametrize("build", [
         lambda: sm.build_ring(9),
+        lambda: sm.build_ring(3),
         lambda: sm.build_corner_lattice(5, "RT"),
+        lambda: sm.build_corner_lattice(5, "LT"),
         lambda: sm.build_corner_lattice(5, "LB"),
+        lambda: sm.build_corner_lattice(5, "RB"),
         lambda: sm.build_manhattan(6),
         lambda: sm.build_f_lattice(6),
         lambda: sm.build_er_embedded(40, 0.1, np.random.default_rng(5)),
         lambda: sm.build_er_embedded(60, 0.02, np.random.default_rng(6)),
-    ], ids=["ring", "corner_rt", "corner_lb", "manhattan", "f_lattice",
-            "er_dense", "er_sparse"])
+        lambda: sm.build_er_embedded(60, 0.01, np.random.default_rng(4)),
+        lambda: sm.TradeNetwork([[1], [0, 2, 3], [3], [0, 1, 2, 4], [0], [3, 4]],
+                                np.arange(6), (6,), "custom"),
+    ], ids=["ring", "ring3", "corner_rt", "corner_lt", "corner_lb", "corner_rb",
+            "manhattan", "f_lattice", "er_dense", "er_sparse", "er_repaired",
+            "custom_mixed_degree"])
     def test_every_agent_matches_closure_loop(self, build):
+        # the update plan of every agent, built at once, against the
+        # dependency chain spelled out as loops over the supplier and
+        # customer lists
         net = build()
         sup, cust = net.suppliers, net.customers
+        ptr, agents = sm.dynamics.update_plan(net, np.arange(net.n_agents))
+        assert len(ptr) == 4 * net.n_agents + 1 and ptr[-1] == len(agents)
         for c in range(net.n_agents):
             prod = [c] + cust[c]
             dem = [j for i in prod for j in sup[i]]
             traded = prod + dem
             profit = traded + [i for j in traded for i in cust[j]]
-            sets = sm.affected_sets(net, c)
-            assert [set(phase) for phase in sets] == \
-                [set(prod), set(dem), set(traded), set(profit)]
-            assert all(len(set(phase)) == len(phase) for phase in sets)
+            rows = [agents[ptr[4 * c + k]:ptr[4 * c + k + 1]].tolist() for k in range(4)]
+            assert rows == [sorted(set(prod)), sorted(set(dem)), sorted(set(traded)),
+                            sorted(set(profit))]
+            assert sm.affected_sets(net, c) == tuple(map(tuple, rows))
+
+    def test_plan_of_some_agents_is_their_rows(self):
+        net = sm.build_manhattan(6)
+        ptr, agents = sm.dynamics.update_plan(net, np.arange(net.n_agents))
+        picked = [7, 0, 35, 7]
+        sub_ptr, sub = sm.dynamics.update_plan(net, picked)
+        for r, c in enumerate(picked):
+            assert np.array_equal(sub[sub_ptr[4 * r]:sub_ptr[4 * r + 4]],
+                                  agents[ptr[4 * c]:ptr[4 * c + 4]])
+
+    @pytest.mark.parametrize("agent", [-1, 36])
+    def test_plan_rejects_an_agent_out_of_range(self, agent):
+        with pytest.raises(IndexError):
+            sm.dynamics.update_plan(sm.build_manhattan(6), [3, agent])
 
     def test_order_within_a_phase_is_free(self, rng):
         # each phase writes its own agents' slots and reads only prices and
@@ -328,6 +355,18 @@ class TestRun:
             snap = sm.evaluate_market(sim.engine.p, net, wts)
             assert np.array_equal(sim.engine.profit, snap.profit)
             assert np.array_equal(sim.engine.qp, snap.production)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(audit_interval=-5),
+        dict(checkpoint_every=-5),
+    ], ids=["audit_interval", "checkpoint_every"])
+    def test_negative_interval_rejected(self, tmp_path, kwargs):
+        net, wts, cfg = small_setup()
+        sim = sm.Simulation(net, wts, cfg)
+        ckpt = tmp_path / "ckpt.bin"
+        with pytest.raises(ValueError, match="must be >= 0"):
+            sim.run(checkpoint_path=str(ckpt), **kwargs)
+        assert sim.t == 0 and not any(tmp_path.iterdir())
 
     def test_engine_rejects_bad_prices(self):
         net, wts, _ = small_setup()

@@ -232,10 +232,12 @@ class TestInvariants:
                 in_edges[j].append(e)
                 e += 1
         assert net.customers == customers
-        assert net.in_edges == in_edges
-        # the engine kernel indexes lists with these, as Python ints
-        for lists in (net.suppliers, net.customers, net.in_edges):
-            assert all(type(v) is int for row in lists for v in row)
+        for j in range(net.n_agents):
+            assert net.in_idx[net.in_ptr[j]:net.in_ptr[j + 1]].tolist() == in_edges[j]
+        assert net.in_ptr[-1] == net.n_edges
+        # the kernel binds these arrays by address
+        for arr in (net.sup_ptr, net.sup_idx, net.in_ptr, net.in_idx):
+            assert arr.dtype == np.int64 and arr.flags.c_contiguous
 
 
 class TestWeights:
