@@ -7,13 +7,15 @@ temporary file in that directory and then moved over its name, so a
 concurrent process never loads a half-written one.  Each library ends in a
 trailer holding the sha256 of the bytes before it; a cached library whose
 trailer does not match (cut short, corrupt) is built again before it is
-loaded, since loading a cut ELF file can crash the process.  Where the
-cache cannot be written, the library is built in a temporary directory for
-this process.
+loaded, since loading a cut ELF file can crash the process.  A build into the
+cache deletes the other `_kernel-*.so` there, so a checkout shared by machines
+of different architectures rebuilds on each switch.  An unwritable cache
+builds the library in a temporary directory for this process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -129,6 +131,10 @@ def _load():
             target = Path(tmp) / target.name
             _build(cc, target)
             return _open(target)
+    for stale in CACHE.glob("_kernel-*.so"):
+        if stale != target:
+            with contextlib.suppress(OSError):
+                stale.unlink()
     return _open(target)
 
 

@@ -236,10 +236,19 @@ def _scan_for_threshold(ecfg, net, wts, sim_cfg):
     return entry.f0, "scan", scan.activity[:, scan.best]
 
 
+def _configured_f0(ecfg, net, wts, sim_cfg):
+    """(f0, how it was set) from f0 or f0_quantile; (None, None) if neither."""
+    if ecfg.f0_quantile is None:
+        return (None, None) if ecfg.f0 is None else (float(ecfg.f0), "absolute")
+    f0 = analysis.stationary_profit_quantile(
+        dynamics.Simulation(net, wts, sim_cfg, engine=ecfg.engine), ecfg.f0_quantile)
+    return f0, f"quantile({ecfg.f0_quantile})"
+
+
 def _run_one(ecfg, seed, record_path, checkpoint_path):
     net, wts, sim_cfg = build_experiment(ecfg, seed)
     record_path.parent.mkdir(parents=True, exist_ok=True)
-    f0 = ecfg.f0
+    f0, _ = _configured_f0(ecfg, net, wts, sim_cfg)
     sim = dynamics.Simulation(net, wts, sim_cfg, engine=ecfg.engine)
     record = sim.run(activity_f0=f0,
                      checkpoint_path=checkpoint_path,
@@ -344,16 +353,10 @@ def cmd_avalanche_stats(ecfg, args):
     else:
         config_hash, seed = ecfg.digest(), ecfg.sim.seed
         net, wts, sim_cfg = build_experiment(ecfg, ecfg.sim.seed)
-        if ecfg.f0 is None and ecfg.f0_quantile is None:
+        f0, f0_mode = _configured_f0(ecfg, net, wts, sim_cfg)
+        if f0 is None:
             f0, f0_mode, y = _scan_for_threshold(ecfg, net, wts, sim_cfg)
         else:
-            if ecfg.f0 is not None:
-                f0, f0_mode = float(ecfg.f0), "absolute"
-            else:
-                f0 = analysis.stationary_profit_quantile(
-                    dynamics.Simulation(net, wts, sim_cfg, engine=ecfg.engine),
-                    ecfg.f0_quantile)
-                f0_mode = f"quantile({ecfg.f0_quantile})"
             record = dynamics.Simulation(net, wts, sim_cfg, engine=ecfg.engine).run(
                 activity_f0=f0)
             y = record.post(record.activity)

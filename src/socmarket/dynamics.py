@@ -358,6 +358,10 @@ class RunRecord:
         if other.start_step != self.total_steps:
             raise ValueError(
                 f"records are not contiguous: {self.total_steps} then {other.start_step}")
+        if ((self.activity is None) != (other.activity is None)
+                or not np.array_equal(self.activity_f0, other.activity_f0)):
+            raise ValueError(f"records count activity differently: f0 "
+                             f"{self.activity_f0!r} then {other.activity_f0!r}")
         join = lambda a, b: None if a is None else np.concatenate([a, b])
         return RunRecord(
             n_agents=self.n_agents, extents=self.extents,
@@ -392,12 +396,13 @@ class RunRecord:
             fh.write("# extents " + " ".join(str(e) for e in self.extents) + "\n")
             fh.write(f"# transient_steps {self.transient_steps}\n")
             fh.write(f"# start_step {self.start_step}\n")
+            # float(): under numpy 2 a numpy scalar's repr does not read back
             if self.activity_f0 is not None:
-                fh.write(f"# activity_f0 {self.activity_f0!r}\n")
+                fh.write(f"# activity_f0 {float(self.activity_f0)!r}\n")
             if self.config is not None:
                 c = self.config
-                fh.write(f"# config seed {c.seed} eta_max {c.eta_max!r} "
-                         f"price_floor {c.price_floor!r} total_steps {c.total_steps}\n")
+                fh.write(f"# config seed {c.seed} eta_max {float(c.eta_max)!r} "
+                         f"price_floor {float(c.price_floor)!r} total_steps {c.total_steps}\n")
             if self.config_hash is not None:
                 fh.write(f"# config_hash {self.config_hash}\n")
             fh.write(" ".join(cols) + "\n")

@@ -143,17 +143,34 @@ class TestFitPowerLaw:
 
     @pytest.mark.parametrize("x_min", [1, 2, 5])
     def test_mle_recovers_exponent_above_x_min(self, x_min):
-        # the likelihood of P(x) = x^-tau / zeta(tau, x_min) on x >= x_min
-        # pairs d log zeta / d tau with the mean of log x, not log(x / x_min)
+        # the score equation pairs E_tau[log x] over [x_min, max] with the
+        # mean of log x, not of log(x / x_min)
         v = sm.sample_discrete_power_law(2.5, 200_000, np.random.default_rng(11),
                                          x_min=x_min)
         alpha, stderr = sm.fit_power_law_mle(v, x_min=x_min)
         assert abs(alpha - 2.5) < 3 * stderr
 
     def test_mle_without_root_is_a_fit_domain_error(self):
-        # all mass at x_min: the likelihood rises all the way to the bracket
+        # all mass at x_min: a one-point support leaves the exponent free
         with pytest.raises(FitDomainError):
             sm.fit_power_law_mle(np.ones(50))
+
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 1.6, 2.2, 2.6])
+    def test_mle_recovers_exponent_on_a_short_support(self, tau):
+        # the loser-walk branches live on [1, L/2]: the fit must hold for a
+        # nearly flat law (tau <= 1) cut short at 50
+        v = sm.sample_discrete_power_law(tau, 100_000, np.random.default_rng(int(tau * 10)),
+                                         x_max=50)
+        alpha, stderr = sm.fit_power_law_mle(v)
+        assert alpha == pytest.approx(tau, abs=0.05)
+        assert 0 < stderr < 0.01
+
+    def test_mle_fits_the_samplers_truncation(self):
+        # the default sampler stops at 10^6; a law fitted as untruncated
+        # reads 1.318 on this sample
+        v = sm.sample_discrete_power_law(1.3, 100_000, np.random.default_rng(13))
+        alpha, _ = sm.fit_power_law_mle(v)
+        assert alpha == pytest.approx(1.3, abs=0.01)
 
     def test_sampler_deterministic(self):
         a = sm.sample_discrete_power_law(1.5, 100, np.random.default_rng(3))

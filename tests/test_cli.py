@@ -448,6 +448,23 @@ dir = {out}
         fits = json.loads((out / "avalanche_fits.json").read_text())
         assert fits["f0_mode"] == "quantile(0.05)"
 
+    @pytest.mark.parametrize("threshold,extra", [
+        ("f0_quantile = 0.05", []), ("f0 = -0.005", ["--f0-quantile", "0.05"])],
+        ids=["config", "option"])
+    def test_quantile_run_records_its_threshold(self, tmp_path, threshold, extra):
+        out = tmp_path / "out"
+        body = RING_CFG.format(out=out).replace("f0 = -0.005", threshold)
+        cfg = write_config(tmp_path / "c.ini", body)
+        assert cli.main(["run", "--config", cfg, *extra]) == 0
+        assert cli.main(["avalanche-stats", "--run", str(out / "run_seed3.txt"),
+                         "--out", str(tmp_path / "rec")]) == 0
+        assert cli.main(["avalanche-stats", "--config", cfg, *extra]) == 0
+        recorded = json.loads((tmp_path / "rec" / "avalanche_fits.json").read_text())
+        direct = json.loads((out / "avalanche_fits.json").read_text())
+        assert direct["f0_mode"] == "quantile(0.05)"
+        assert (recorded["f0"], recorded["n_events"]) == (direct["f0"], direct["n_events"])
+        assert recorded["n_events"] > 0
+
 
 class TestDecayCheck:
     def test_reports_ratio(self, tmp_path):
@@ -501,7 +518,7 @@ class TestBuildCount:
 
 
 class TestImports:
-    # line fits are plain numpy; only the MLE cross-check imports scipy
+    # the package needs numpy alone; these check the CLI's import cost
     @staticmethod
     def _last_line(code):
         src = str(Path(sm.__file__).resolve().parents[1])

@@ -704,6 +704,21 @@ class TestRecordSerialization:
         assert back.transient_steps == rec.transient_steps
         assert back.config_hash == rec.config_hash
 
+    def test_numpy_scalar_header_roundtrip(self, tmp_path):
+        # numpy 2 writes repr(np.float64(x)) as "np.float64(x)"
+        net, wts, cfg = small_setup()
+        cfg = dataclasses.replace(cfg, eta_max=np.float64(0.01),
+                                  price_floor=np.float64(10.0), seed=np.int64(cfg.seed))
+        rec = sm.Simulation(net, wts, cfg).run(activity_f0=np.float64(-0.004))
+        path = tmp_path / "run.txt"
+        rec.save_text(path)
+        back = sm.RunRecord.load_text(path)
+        assert back.activity_f0 == -0.004
+        assert back.config == cfg
+        plain = dataclasses.replace(cfg, eta_max=0.01, price_floor=10.0, seed=int(cfg.seed))
+        sm.Simulation(net, wts, plain).run(activity_f0=-0.004).save_text(tmp_path / "plain.txt")
+        assert path.read_bytes() == (tmp_path / "plain.txt").read_bytes()
+
     def test_2d_positions_roundtrip(self, tmp_path):
         net = sm.build_corner_lattice(4, "RT")
         wts = sm.assign_weights_fixed(net, 0.5)
@@ -866,3 +881,14 @@ class TestCheckpointResume:
         rec = sm.run(net, wts, cfg)
         with pytest.raises(ValueError):
             rec.concat(rec)
+
+    @pytest.mark.parametrize("head_f0,tail_f0", [
+        (-0.004, None), (None, -0.004), (-0.004, -0.003)])
+    def test_concat_requires_the_same_activity(self, head_f0, tail_f0):
+        net, wts, cfg = small_setup()
+        head = sm.Simulation(net, wts, dataclasses.replace(cfg, total_steps=100)).run(
+            activity_f0=head_f0)
+        tail = dataclasses.replace(
+            sm.run(net, wts, cfg, activity_f0=tail_f0), start_step=head.total_steps)
+        with pytest.raises(ValueError, match="count activity differently"):
+            head.concat(tail)

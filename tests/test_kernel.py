@@ -42,6 +42,13 @@ def test_missing_library_is_built(cache):
     assert [p.name for p in cache.iterdir()] == [cached_library(cache).name]
 
 
+def test_build_removes_libraries_of_earlier_sources(cache):
+    cache.mkdir()
+    (cache / _kernel.library_name(b"/* an earlier kernel */")).write_bytes(b"stale")
+    check_engine()
+    assert [p.name for p in cache.iterdir()] == [cached_library(cache).name]
+
+
 @pytest.mark.parametrize("damage", ["truncated", "corrupt", "empty"])
 def test_damaged_library_is_rebuilt(cache, damage):
     # built but not loaded: a library this process has mapped must not be
