@@ -153,10 +153,31 @@ typedef struct {
     int64_t nf0;
     const double *f0;
     int32_t *activity;
-    /* the profits each cut's profit phase holds before (olds) and after
-       (news) the cut, one cut after another */
-    double *olds, *news;
 } steps;
+
+/* Count step j's row of activity: the profits below each threshold
+   f0[k] * mp.  One pass compares a profit with the thresholds only when it
+   lies below the highest of them, and none is made when the least profit,
+   profit[c], does not (a NaN there may hide numbers, so it does not skip). */
+static void count_activity(const market *m, const steps *s, int j, int32_t c, double mp)
+{
+    const double *profit = m->profit, *f0 = s->f0;
+    int32_t *row = s->activity + (int64_t)j * s->nf0;
+    double top = -INFINITY;
+    int64_t i, k, nf0 = s->nf0;
+
+    for (k = 0; k < nf0; k++) {
+        row[k] = 0;
+        if (f0[k] * mp > top)
+            top = f0[k] * mp;
+    }
+    if (profit[c] >= top)
+        return;
+    for (i = 0; i < m->n; i++)
+        if (profit[i] < top)
+            for (k = 0; k < nf0; k++)
+                row[k] += profit[i] < f0[k] * mp;
+}
 
 /* Run steps from .. count - 1 of a block.
  *
@@ -164,23 +185,18 @@ typedef struct {
  * level (except at step `from` when `renormed` is set: the caller has just
  * renormalised), then writes the loser, its profit and the mean price to
  * loser[j], min_profit[j] and mean_price[j], counts the activity if
- * `activity` is set, and cuts the price.  When `olds` is set, the profit
- * phases of the cuts are logged to olds and news from their start.
- * Returns the step it stopped before, or -1 - j if step j's new price is
- * not positive (nothing of step j is done).
+ * `activity` is set, and cuts the price.  Returns the step it stopped
+ * before, or -1 - j if step j's new price is not positive (nothing of step
+ * j is done).
  */
 int socm_advance(market *m, const steps *s, int from, int count, int renormed)
 {
     double *p = m->p, *profit = m->profit;
-    const int64_t *plan_ptr = m->plan_ptr;
-    const int32_t *plan = m->plan;
-    int64_t k, i, q, pos = 0, n = m->n;
     int j;
 
     for (j = from; j < count; j++) {
-        double mp = m->psum / (double)n, old, cut;
+        double mp = m->psum / (double)m->n, old, cut;
         int32_t c = m->tree[1];
-        int64_t lo = plan_ptr[4 * (int64_t)c + 3], hi = plan_ptr[4 * (int64_t)c + 4];
 
         if (mp < s->level && !(renormed && j == from))
             return j;
@@ -191,25 +207,11 @@ int socm_advance(market *m, const steps *s, int from, int count, int renormed)
         s->loser[j] = c;
         s->min_profit[j] = profit[c];
         s->mean_price[j] = mp;
-        if (s->activity) {
-            for (k = 0; k < s->nf0; k++) {
-                double thr = s->f0[k] * mp;
-                int32_t below = 0;
-                for (i = 0; i < n; i++)
-                    below += profit[i] < thr;
-                s->activity[j * s->nf0 + k] = below;
-            }
-        }
-        if (s->olds)
-            for (q = lo; q < hi; q++)
-                s->olds[pos + q - lo] = profit[plan[q]];
+        if (s->activity)
+            count_activity(m, s, j, c, mp);
         m->psum += cut - old;
         p[c] = cut;
         socm_update_agent(m, c);
-        if (s->olds)
-            for (q = lo; q < hi; q++)
-                s->news[pos + q - lo] = profit[plan[q]];
-        pos += hi - lo;
     }
     return count;
 }

@@ -48,7 +48,7 @@ class Steps(ctypes.Structure):
     _fields_ = [
         *((name, ctypes.c_void_p) for name in ("u", "loser", "min_profit", "mean_price")),
         ("eta_max", ctypes.c_double), ("level", ctypes.c_double), ("nf0", ctypes.c_int64),
-        *((name, ctypes.c_void_p) for name in ("f0", "activity", "olds", "news"))]
+        ("f0", ctypes.c_void_p), ("activity", ctypes.c_void_p)]
 
 
 def compiler():

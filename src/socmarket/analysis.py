@@ -294,9 +294,9 @@ def track_activity(sim, thresholds):
     """Step a Simulation from its current step to completion, counting
     agents below each rescaled-profit threshold at every step (pre-cut,
     post-renormalization state, matching the activity column of
-    RunRecord; counted per block of cuts from the touched profits on
-    sparse update plans, and at every step on dense ones, see
-    Simulation._advance).  Returns a (steps, n_thresholds) array.
+    RunRecord; counted in the step loop, see Simulation._advance).
+    Returns a (steps, n_thresholds) int32 array, (steps, 0) for no
+    thresholds.
     """
     thr = np.atleast_1d(np.asarray(thresholds, dtype=np.float64))
     return sim._advance(sim.config.total_steps - sim.t, thr)[4]

@@ -17,8 +17,7 @@ Two interchangeable engines drive the evaluation:
                  as CSR arrays that the compiled kernel (_kernel.c) reads.
                  The kernel runs a whole block of cuts: it takes each loser
                  from a loser tree over the profits, repaired along the
-                 profit phase after every cut, and counts or logs the
-                 activity.
+                 profit phase after every cut, and counts the activity.
 
 Both engines keep their state in float64 numpy arrays.  Engine construction
 and renormalisation evaluate the full market too.  The incremental kernel
@@ -261,18 +260,6 @@ class MarketEngine:
         """Rebuild the loser tree from the profits (incremental engine)."""
         if self.incremental:
             self._lib.socm_tree_build(self._market)
-
-    # plans whose profit phases touch more than this share of the agents,
-    # on average, count a grid of thresholds at every step
-    _SPARSE_SHARE = 1 / 8
-
-    @cached_property
-    def sparse_plan(self):
-        """Whether a grid of thresholds is counted per block of cuts from
-        the profits each cut touched (see Simulation._advance): an
-        incremental engine whose profit phases are short."""
-        return bool(self.incremental
-                    and self._touches.sum() <= self._SPARSE_SHARE * self.n * self.n)
 
     def apply_price_change(self, agent, new_price):
         """Set one price and update every quantity it affects."""
@@ -522,70 +509,6 @@ def load_checkpoint(path):
 
 
 # ----------------------------------------------------------------------
-# activity counts of a stretch of steps from the profits its cuts changed
-
-def _count_block(out, f0, means, start, olds, news, lens):
-    """Fill out[j, k] with the number of profits below f0[k] * means[j]
-    at each step j of a stretch with no renormalisation, where `start` is
-    the profit vector of its first step, and cut j touched lens[j]
-    profits, logged one cut after another in the flat arrays `olds`
-    (before the cut) and `news` (after it).
-
-    Cuts only lower the price sum, so means never rises and each threshold
-    column f0_k * means rises (f0_k <= 0) or falls (f0_k > 0).  A value
-    present from step b on therefore lies below a column over one interval
-    of steps: all steps from b on if it lies below the whole column, none
-    if it lies above, else the steps from b up to or from the step one
-    search finds.  The counts are the running sum of +1 and -1 marks at
-    the interval ends; values enter at the start or after a cut, and the
-    value a cut replaces leaves after it.
-    """
-    m = len(means)
-    width = m + 1
-    thr = np.multiply.outer(means, f0)
-    # values not below the highest threshold never count
-    top = thr.max()
-    n, ends = len(start), np.cumsum(lens)
-    values = np.concatenate([start, news[:ends[-1]], olds[:ends[-1]]])
-    at = np.flatnonzero(values < top)
-    vals = values[at]
-    # the start values count from step 0; the values cut j writes (news)
-    # or replaces (olds) enter or leave at step j + 1
-    since = np.where(at < n, 0, ends.searchsorted((at - n) % ends[-1], "right") + 1)
-    sign = np.where(at < n + ends[-1], 1.0, -1.0)
-    order = vals.argsort()
-    vals, since, sign = vals[order], since[order], sign[order]
-    # vals[:a[k]] lie below the whole of column k, vals[b[k]:] above it
-    rising = thr[0] <= thr[-1]
-    a = vals.searchsorted(np.where(rising, thr[0], thr[-1]))
-    b = vals.searchsorted(np.where(rising, thr[-1], thr[0]))
-    # values below a whole column count from their first step on: one
-    # histogram per group of values lying below the same columns, summed
-    # over the groups of each column's prefix
-    rank = np.argsort(a)
-    ranked = a[rank]
-    group = ranked.searchsorted(np.arange(ranked[-1]), "right")
-    marks = np.empty((len(a), width))
-    marks[rank] = np.bincount(group * width + since[:ranked[-1]], sign[:ranked[-1]],
-                              minlength=marks.size).reshape(marks.shape).cumsum(axis=0)
-    # values inside a column's range count over part of the steps
-    pos, weight = [], []
-    for k, col in enumerate(thr.T):
-        v, s, g = vals[a[k]:b[k]], since[a[k]:b[k]], sign[a[k]:b[k]]
-        if rising[k]:  # below from the first step past v on
-            pos.append(np.maximum(s, col.searchsorted(v, "right")) + k * width)
-            weight.append(g)
-        else:  # below until the first step at or under v
-            until = (-col).searchsorted(-v, "left")
-            inside = s < until
-            pos += [s[inside] + k * width, until[inside] + k * width]
-            weight += [g[inside], -g[inside]]
-    marks += np.bincount(np.concatenate(pos), np.concatenate(weight),
-                         minlength=marks.size).reshape(marks.shape)
-    out[...] = marks[:, :m].cumsum(axis=1).T
-
-
-# ----------------------------------------------------------------------
 # simulation driver
 
 def _new_engine(net, wts, prices, engine):
@@ -663,13 +586,9 @@ class Simulation:
 
         The incremental engine runs each block in the kernel
         (_kernel.c, socm_advance), which returns early when the prices
-        need renormalising; the full engine runs it in _full_block.  On
-        dense plans the kernel counts the thresholds at every step with one
-        O(N) pass per threshold.  On sparse plans (MarketEngine.sparse_plan)
-        it logs the profits each cut touches, before and after it, and the
-        counts are taken from them per stretch of the block with no
-        renormalisation (_count_block), in O(touched) per step.  All give
-        the same counts.
+        need renormalising and counts the activity at every step with one
+        pass over the profits; the full engine runs it in _full_block and
+        counts with numpy.  Both give the same counts.
 
         Returns per-step arrays (loser, min_profit, mean_price,
         renorm_flags, activity or None) and the last cut eta.
@@ -689,11 +608,6 @@ class Simulation:
             ksteps.eta_max, ksteps.level = self.config.eta_max, self._renorm_level
             ksteps.nf0 = 0 if f0 is None else len(f0)
             ksteps.f0 = None if f0 is None else f0.ctypes.data
-            ksteps.activity = ksteps.olds = ksteps.news = None
-            if activity is not None and eng.sparse_plan:
-                logs = np.empty((2, min(count, self._BLOCK) * int(eng._touches.max())))
-                ksteps.olds, ksteps.news = logs[0].ctypes.data, logs[1].ctypes.data
-                block = partial(block, logs=logs)
         if not checkpoint_path:
             checkpoint_every = 0
         t, k, eta = self._t, 0, None
@@ -744,30 +658,21 @@ class Simulation:
                 counts[j] = np.count_nonzero(profit[:, None] < f0 * mp, axis=0)
             eng.apply_price_change(loser, p[loser] * (1.0 - eta))
 
-    def _kernel_block(self, k, draws, loser_idx, min_profit, mean_price, renorm, f0, counts,
-                      logs=None):
+    def _kernel_block(self, k, draws, loser_idx, min_profit, mean_price, renorm, f0, counts):
         """Steps k .. k + len(draws) - 1 of _advance in the kernel, with a
-        renormalisation wherever it stops early.  The kernel counts the
-        rows of activity counts, or with `logs` it logs the touched profits
-        to its two rows, from which the rows are counted per stretch."""
+        renormalisation wherever it stops early; the kernel writes the rows
+        of activity counts."""
         eng = self._eng
         _, losers, mins, means, ksteps, ksteps_ref = self._buffers
-        if counts is not None and logs is None:
-            ksteps.activity = counts[k:].ctypes.data
+        ksteps.activity = None if counts is None else counts[k:].ctypes.data
         market, advance, m = eng._market_ref, eng._lib.socm_advance, len(draws)
         done = 0
         while True:
-            if logs is not None:
-                start = eng.profit.copy()
             # renorm[k + done] is set where the kernel stopped for a
             # renormalisation, which then must not stop it again
-            stop = advance(market, ksteps_ref, done, m, int(renorm[k + done]))
-            if stop < 0:
+            done = advance(market, ksteps_ref, done, m, int(renorm[k + done]))
+            if done < 0:
                 raise MarketDomainError("price must remain positive")
-            if logs is not None and stop > done:
-                _count_block(counts[k + done:k + stop], f0, means[done:stop], start,
-                             *logs, eng._touches[losers[done:stop]])
-            done = stop
             if done == m:
                 break
             eng.renormalize()

@@ -132,10 +132,11 @@ class ExpenditureMatrix:
         w = np.asarray(weights_flat, dtype=np.float64)
         if w.shape != (net.n_edges,):
             raise TopologyError("weight vector does not match the edge count")
-        if np.any(w < 0.0):
-            raise TopologyError("negative expenditure weight")
+        # both checks are written so that a NaN fails them
+        if not np.all(w >= 0.0):
+            raise TopologyError("expenditure weights must be >= 0 and not NaN")
         sums = np.bincount(net.row_agent, weights=w, minlength=net.n_agents)
-        if np.max(np.abs(sums - 1.0)) > 1e-12:
+        if not np.all(np.abs(sums - 1.0) <= 1e-12):
             raise TopologyError("expenditure rows must sum to 1")
         self.net = net
         self.weights_flat = w

@@ -547,14 +547,14 @@ class TestKernelLoopAgainstFullEngine:
     at every step, and a checkpoint and resume in the middle of a block."""
 
     NETS = {
-        "rt32": (lambda: sm.build_corner_lattice(32, "RT"), True),
-        "ring30": (lambda: sm.build_ring(30), False),
-        "er100": (lambda: sm.build_er_embedded(100, 0.05, np.random.default_rng([4, 1])), False),
-        "manhattan6": (lambda: sm.build_manhattan(6), False),
-        "f6": (lambda: sm.build_f_lattice(6), False),
+        "rt32": lambda: sm.build_corner_lattice(32, "RT"),
+        "ring30": lambda: sm.build_ring(30),
+        "er100": lambda: sm.build_er_embedded(100, 0.05, np.random.default_rng([4, 1])),
+        "manhattan6": lambda: sm.build_manhattan(6),
+        "f6": lambda: sm.build_f_lattice(6),
     }
-    # no activity, a scalar threshold, and a grid (counted from the logged
-    # profits on sparse plans, at every step on dense ones)
+    # no activity, a scalar threshold, and a grid (the kernel counts both
+    # in its step loop, the full engine with numpy)
     MODES = {"none": None, "scalar": -0.004,
              "grid": np.array([-0.3, -0.006, -0.004, -0.002, 0.0, 0.004])}
     COLUMNS = ("loser_index", "min_profit", "mean_price", "renorm_flags", "activity")
@@ -562,8 +562,7 @@ class TestKernelLoopAgainstFullEngine:
     @pytest.mark.parametrize("renorm_threshold", [None, 1e9])
     @pytest.mark.parametrize("net_name", list(NETS))
     def test_kernel_loop_equals_full_engine(self, tmp_path, net_name, renorm_threshold):
-        maker, sparse = self.NETS[net_name]
-        net = maker()
+        net = self.NETS[net_name]()
         wts = sm.assign_weights_uniform(net, np.random.default_rng(3))
         # more steps than one block of cuts
         cfg = sm.SimConfig(total_steps=1500, transient_steps=0, seed=6,
@@ -575,7 +574,6 @@ class TestKernelLoopAgainstFullEngine:
             # run) and 1400, audits every 97 steps; stop at 1000, resume at 700
             ckpt = tmp_path / f"{mode}.ckpt"
             sim = sm.Simulation(net, wts, dataclasses.replace(cfg, total_steps=1000))
-            assert sim.engine.sparse_plan is sparse
             head = sim.run(activity_f0=f0, audit_interval=97,
                            checkpoint_path=ckpt, checkpoint_every=700)
             assert sm.load_checkpoint(ckpt)[0] == 700
@@ -600,26 +598,15 @@ def rt_lattice(L=32):
     return net, sm.assign_weights_fixed(net, 0.25)
 
 
-class TestBlockCount:
-    """A grid of thresholds on sparse plans is counted once per block of
-    cuts from the profits the cuts touched; it must equal the per-step
-    count of reference_loop over more than one block."""
+class TestGridCount:
+    """A grid of thresholds counted in the kernel's step loop must equal
+    the per-step count of reference_loop over more than one block of cuts,
+    on every plan and at ties."""
 
     # rising (negative), constant (zero) and falling (positive) threshold
-    # columns; at +-0.3 the profits are dense enough that some lie inside a
-    # column's range in most blocks
+    # columns; at +-0.3 the profits are dense enough that some lie between
+    # the thresholds
     GRID = [-0.3, -0.004, -0.002, 0.0, 0.004, 0.3]
-
-    def test_sparse_plans_take_the_block_path(self):
-        net, wts = rt_lattice()
-        prices = 10.0 + np.random.default_rng(0).random(net.n_agents)
-        assert sm.MarketEngine(net, wts, prices).sparse_plan is True
-        small, small_wts = rt_lattice(16)
-        assert sm.MarketEngine(small, small_wts, prices[:256]).sparse_plan is True
-        assert sm.MarketEngine(net, wts, prices, incremental=False).sparse_plan is False
-        ring = sm.build_ring(30)
-        ring_wts = sm.assign_weights_fixed(ring, 0.4)
-        assert sm.MarketEngine(ring, ring_wts, prices[:30]).sparse_plan is False
 
     # a renormalisation at every step recomputes every agent, so that case
     # runs on a smaller lattice, just past one block
@@ -649,26 +636,55 @@ class TestBlockCount:
         rec = sm.Simulation(net, wts, cfg).run(activity_f0=self.GRID[1])
         assert rec.activity.tolist() == ref["activity"]
 
-    def test_block_count_on_tied_values(self, rng):
-        # small integers make profits equal to thresholds, which are not
-        # below them, at every turn
-        f0 = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
-        for _ in range(50):
-            n, m = int(rng.integers(1, 12)), int(rng.integers(1, 40))
-            means = np.sort(rng.integers(1, 6, m).astype(float))[::-1]
-            profit = rng.integers(-8, 9, n).astype(float)
-            start, olds, news, expected = profit.copy(), [], [], []
-            for j in range(m):
-                expected.append([np.count_nonzero(profit < x * means[j]) for x in f0])
-                ix = rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
-                olds.append(profit[ix])
-                profit[ix] = rng.integers(-8, 9, len(ix))
-                news.append(profit[ix])
-            out = np.empty((m, len(f0)), dtype=np.int32)
-            lens = [len(v) for v in olds]
-            sm.dynamics._count_block(out, f0, means, start, np.concatenate(olds),
-                                     np.concatenate(news), lens)
-            assert out.tolist() == expected
+    @staticmethod
+    def at_equal_prices(net, engine):
+        """A one-step Simulation whose prices are all 1: every profit is the
+        same value (0 on these networks) and the mean price is exactly 1."""
+        cfg = sm.SimConfig(total_steps=1, transient_steps=0)
+        sim = sm.Simulation(net, sm.assign_weights_fixed(net, 0.25), cfg, engine=engine)
+        sim.engine.p = 1.0
+        sim.engine.recompute_all()
+        sim.engine.psum = float(net.n_agents)
+        return sim
+
+    @pytest.mark.parametrize("maker", [
+        lambda: sm.build_ring(30), lambda: sm.build_corner_lattice(32, "RT")],
+        ids=["ring30", "rt32"])
+    def test_profits_equal_to_a_threshold_are_not_below_it(self, maker):
+        net = maker()
+        v = self.at_equal_prices(net, "full").engine.profit[0]
+        below, above = np.nextafter(v, -np.inf), np.nextafter(v, np.inf)
+        # the grid, and each threshold alone: the kernel skips the pass
+        # when the least profit is not below the highest threshold
+        grids = {(v, below, above): [0, 0, net.n_agents], (v,): [0], (below,): [0],
+                 (above,): [net.n_agents]}
+        for engine in ("incremental", "full"):
+            for grid, expected in grids.items():
+                sim = self.at_equal_prices(net, engine)
+                assert np.all(sim.engine.profit == v)
+                assert sm.track_activity(sim, grid).tolist() == [expected], (engine, grid)
+
+    def test_nan_least_profit_does_not_skip_the_count(self):
+        net = sm.build_ring(30)
+        profit = np.linspace(-1.0, 1.0, 30)
+        profit[3] = np.nan  # the loser tree's root, as np.argmin
+        for engine in ("incremental", "full"):
+            sim = self.at_equal_prices(net, engine)
+            sim.engine.profit = profit
+            assert sm.track_activity(sim, [-0.5, 0.0]).tolist() == [[7, 14]], engine
+
+    @pytest.mark.parametrize("maker,engine", [
+        (lambda: sm.build_corner_lattice(32, "RT"), "incremental"),
+        (lambda: sm.build_ring(30), "incremental"),
+        (lambda: sm.build_corner_lattice(32, "RT"), "full")],
+        ids=["rt32", "ring30", "rt32-full"])
+    def test_empty_grid_counts_nothing(self, maker, engine):
+        net = maker()
+        cfg = sm.SimConfig(total_steps=40, transient_steps=0, seed=2)
+        sim = sm.Simulation(net, sm.assign_weights_fixed(net, 0.25), cfg, engine=engine)
+        activity = sm.track_activity(sim, [])
+        assert activity.shape == (40, 0) and activity.dtype == np.int32
+        assert sim.t == 40
 
     def test_audit_and_checkpoint_cadence_with_resume(self, tmp_path):
         net, wts = rt_lattice()

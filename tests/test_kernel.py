@@ -2,6 +2,7 @@
 its loser tree."""
 
 import ctypes
+import re
 import subprocess
 
 import numpy as np
@@ -118,6 +119,33 @@ def test_kernel_builds_without_warnings(tmp_path):
          "-o", str(tmp_path / "kernel.so"), str(_kernel.SOURCE), "-lm"],
         capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+# the ctypes type of each C member type the kernel's structs use
+C_TYPES = {"double": ctypes.c_double, "int64_t": ctypes.c_int64}
+
+
+def c_struct_fields(source, name):
+    """(member, ctypes type) pairs of `typedef struct { ... } name;` in C
+    source, in declaration order; every pointer maps to c_void_p."""
+    body = re.search(r"typedef struct \{([^}]*)\} " + name + ";", source).group(1)
+    fields = []
+    for decl in re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")[:-1]:
+        first, *rest = decl.split(",")
+        *base, first = first.split()
+        base = [word for word in base if word != "const"]
+        for declarator in (first, *rest):
+            pointer = "*" in declarator
+            fields.append((declarator.strip().lstrip("*"),
+                           ctypes.c_void_p if pointer else C_TYPES[" ".join(base)]))
+    return fields
+
+
+@pytest.mark.parametrize("struct,name", [(_kernel.Market, "market"), (_kernel.Steps, "steps")])
+def test_ctypes_structs_mirror_the_kernel(struct, name):
+    # a field added, dropped or moved on one side alone makes the kernel
+    # read the wrong member, or past the end of the struct
+    assert struct._fields_ == c_struct_fields(_kernel.SOURCE.read_text(), name)
 
 
 class LoserTree:

@@ -277,6 +277,17 @@ class TestWeights:
         b = sm.assign_weights_uniform(net, np.random.default_rng(9))
         assert np.array_equal(a.weights_flat, b.weights_flat)
 
+    @pytest.mark.parametrize("weights,message", [
+        ([0.5] * 9, "weight vector does not match the edge count"),
+        ([1.5, -0.5] + [0.5] * 8, "expenditure weights must be >= 0 and not NaN"),
+        ([np.nan, 0.5] + [0.5] * 8, "expenditure weights must be >= 0 and not NaN"),
+        ([0.5, 0.25] + [0.5] * 8, "expenditure rows must sum to 1"),
+    ], ids=["shape", "negative", "nan", "row_sum"])
+    def test_bad_weights_rejected(self, weights, message):
+        net = sm.build_ring(5)
+        with pytest.raises(TopologyError, match=f"^{message}$"):
+            sm.ExpenditureMatrix(net, weights, "custom")
+
     def test_rows_normalized_both_schemes(self, rng):
         for _ in range(25):
             net, wts, _ = random_instance(rng)
