@@ -1,5 +1,6 @@
 /* The incremental engine's kernel: the update after one price change, the
- * loser tree, and the step loop over a block of price cuts.
+ * loser tree, and the step loop over a block of price cuts with its
+ * activity count.
  *
  * After one price change socm_update recomputes, phase by phase, production
  * and wants, demand, traded and profit over the changed agent's affected
@@ -66,22 +67,29 @@ void socm_tree_build(const market *m)
     replay(m);
 }
 
-/* Replay the matches from agent i's leaf to the root after its profit changed. */
-void socm_tree_fix(const market *m, int64_t i)
+/* Repair the loser tree after the profits of leaves[0 .. count - 1] changed.
+   Each leaf replays its path up to the node where it meets the next leaf's,
+   and the last leaf climbs to the root: a node's last replay comes from the
+   last leaf below it, after its children's, in any order and with repeats,
+   and ascending leaves replay each of their ancestors once. */
+void socm_tree_repair(const market *m, const int32_t *leaves, int64_t count)
 {
     int32_t *tree = m->tree;
-    int64_t v;
+    int64_t k, u, w, size = m->size;
 
-    for (v = (m->size + i) >> 1; v >= 1; v >>= 1)
-        tree[v] = winner(m->profit, tree[2 * v], tree[2 * v + 1]);
+    for (k = 0; k < count; k++)
+        for (u = (size + leaves[k]) >> 1, w = k + 1 < count ? (size + leaves[k + 1]) >> 1 : 0;
+             u != w; u >>= 1, w >>= 1)
+            tree[u] = winner(m->profit, tree[2 * u], tree[2 * u + 1]);
 }
 
 /* Recompute production and wants over agents[b[0] .. b[1] - 1], demand over
    agents[b[1] .. b[2] - 1], traded over agents[b[2] .. b[3] - 1] and profit
    over agents[b[3] .. b[4] - 1], in that order, and repair the loser tree
-   over the profits: leaf by leaf, or all at once where the leaf-to-root
-   paths hold more matches than the tree (dense plans, such as ER100's,
-   where a cut recomputes most profits); returns the profit count. */
+   over the profits: along their paths (socm_tree_repair), or all at once
+   where the leaf-to-root paths hold more matches than the tree (dense
+   plans, such as ER100's, where a cut recomputes most profits); returns
+   the profit count. */
 int socm_update(const market *m, const int64_t *b, const int32_t *agents)
 {
     const double *p = m->p, *w = m->w;
@@ -129,8 +137,7 @@ int socm_update(const market *m, const int64_t *b, const int32_t *agents)
     if ((b[4] - b[3]) * levels >= m->size)
         replay(m);
     else
-        for (k = b[3]; k < b[4]; k++)
-            socm_tree_fix(m, agents[k]);
+        socm_tree_repair(m, agents + b[3], b[4] - b[3]);
     return (int)(b[4] - b[3]);
 }
 
@@ -153,30 +160,67 @@ typedef struct {
     int64_t nf0;
     const double *f0;
     int32_t *activity;
+    /* the activity's candidates: below[0 .. nbelow - 1] lists the agents
+       whose profit is not >= bound, and slot[i] is agent i's place there
+       or -1; bound is at least every threshold while the mean price is at
+       least mp_low */
+    int32_t *below, *slot;
+    int64_t nbelow;
+    double bound, mp_low;
 } steps;
 
-/* Count step j's row of activity: the profits below each threshold
-   f0[k] * mp.  One pass compares a profit with the thresholds only when it
-   lies below the highest of them, and none is made when the least profit,
-   profit[c], does not (a NaN there may hide numbers, so it does not skip). */
-static void count_activity(const market *m, const steps *s, int j, int32_t c, double mp)
+/* Add agent i to the candidates or remove it, after its profit changed; a
+   removal moves the last candidate into its place (the counts are integer
+   sums, so the order is free). */
+static void place(const market *m, steps *s, int32_t i)
 {
-    const double *profit = m->profit, *f0 = s->f0;
-    int32_t *row = s->activity + (int64_t)j * s->nf0;
-    double top = -INFINITY;
-    int64_t i, k, nf0 = s->nf0;
+    int32_t at = s->slot[i], last;
+    int listed = !(m->profit[i] >= s->bound);
 
-    for (k = 0; k < nf0; k++) {
-        row[k] = 0;
-        if (f0[k] * mp > top)
-            top = f0[k] * mp;
+    if (listed && at < 0) {
+        s->slot[i] = (int32_t)s->nbelow;
+        s->below[s->nbelow++] = i;
+    } else if (!listed && at >= 0) {
+        last = s->below[--s->nbelow];
+        s->below[at] = last;
+        s->slot[last] = at;
+        s->slot[i] = -1;
     }
-    if (profit[c] >= top)
-        return;
-    for (i = 0; i < m->n; i++)
-        if (profit[i] < top)
-            for (k = 0; k < nf0; k++)
-                row[k] += profit[i] < f0[k] * mp;
+}
+
+/* List the candidates at mean price mp.  The cuts only lower the mean price,
+   and a threshold f0[k] * mp' at any mp' in [mp_low, mp] lies between
+   f0[k] * mp and f0[k] * mp_low, so it is at most bound until the mean
+   price falls 0.1 % below mp. */
+static void list_below(const market *m, steps *s, double mp)
+{
+    int64_t i, k;
+
+    s->mp_low = mp * (1.0 - 1e-3);
+    s->bound = -INFINITY;
+    for (k = 0; k < s->nf0; k++)
+        s->bound = fmax(s->bound, fmax(s->f0[k] * mp, s->f0[k] * s->mp_low));
+    s->nbelow = 0;
+    for (i = 0; i < m->n; i++) {
+        s->slot[i] = -1;
+        place(m, s, (int32_t)i);
+    }
+}
+
+/* Count step j's row of activity: the candidates below each threshold
+   f0[k] * mp. */
+static void count_activity(const market *m, const steps *s, int j, double mp)
+{
+    int32_t *row = s->activity + (int64_t)j * s->nf0;
+    int64_t i, k;
+
+    for (k = 0; k < s->nf0; k++) {
+        double top = s->f0[k] * mp;
+        int32_t count = 0;
+        for (i = 0; i < s->nbelow; i++)
+            count += m->profit[s->below[i]] < top;
+        row[k] = count;
+    }
 }
 
 /* Run steps from .. count - 1 of a block.
@@ -185,13 +229,16 @@ static void count_activity(const market *m, const steps *s, int j, int32_t c, do
  * level (except at step `from` when `renormed` is set: the caller has just
  * renormalised), then writes the loser, its profit and the mean price to
  * loser[j], min_profit[j] and mean_price[j], counts the activity if
- * `activity` is set, and cuts the price.  Returns the step it stopped
- * before, or -1 - j if step j's new price is not positive (nothing of step
- * j is done).
+ * `activity` is set, and cuts the price.  The activity's candidates are
+ * listed on entry (the caller may have changed any profit) and whenever the
+ * mean price falls below mp_low, and each update places the agents of its
+ * profit phase.  Returns the step it stopped before, or -1 - j if step j's
+ * new price is not positive (nothing of step j is done).
  */
-int socm_advance(market *m, const steps *s, int from, int count, int renormed)
+int socm_advance(market *m, steps *s, int from, int count, int renormed)
 {
     double *p = m->p, *profit = m->profit;
+    int64_t k;
     int j;
 
     for (j = from; j < count; j++) {
@@ -207,11 +254,17 @@ int socm_advance(market *m, const steps *s, int from, int count, int renormed)
         s->loser[j] = c;
         s->min_profit[j] = profit[c];
         s->mean_price[j] = mp;
-        if (s->activity)
-            count_activity(m, s, j, c, mp);
+        if (s->activity) {
+            if (j == from || !(mp >= s->mp_low))
+                list_below(m, s, mp);
+            count_activity(m, s, j, mp);
+        }
         m->psum += cut - old;
         p[c] = cut;
         socm_update_agent(m, c);
+        if (s->activity)
+            for (k = m->plan_ptr[4 * c + 3]; k < m->plan_ptr[4 * c + 4]; k++)
+                place(m, s, m->plan[k]);
     }
     return count;
 }

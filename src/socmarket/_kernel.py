@@ -44,11 +44,13 @@ class Market(ctypes.Structure):
 
 class Steps(ctypes.Structure):
     """The kernel's `steps` struct: the buffers and settings of a block of
-    steps."""
+    steps, and the activity's candidate list."""
     _fields_ = [
         *((name, ctypes.c_void_p) for name in ("u", "loser", "min_profit", "mean_price")),
         ("eta_max", ctypes.c_double), ("level", ctypes.c_double), ("nf0", ctypes.c_int64),
-        ("f0", ctypes.c_void_p), ("activity", ctypes.c_void_p)]
+        ("f0", ctypes.c_void_p), ("activity", ctypes.c_void_p), ("below", ctypes.c_void_p),
+        ("slot", ctypes.c_void_p), ("nbelow", ctypes.c_int64), ("bound", ctypes.c_double),
+        ("mp_low", ctypes.c_double)]
 
 
 def compiler():
@@ -86,6 +88,8 @@ def _open(path):
     lib.socm_update.argtypes = (market, ptr, ptr)
     lib.socm_tree_build.argtypes = (market,)
     lib.socm_tree_build.restype = None
+    lib.socm_tree_repair.argtypes = (market, ptr, ctypes.c_int64)
+    lib.socm_tree_repair.restype = None
     # the per-step and per-block entries have no argtypes, whose
     # conversions cost more than the kernel on small plans: pass them
     # ctypes.byref(struct) and ints

@@ -102,9 +102,15 @@ def extract_avalanches(y):
     Size is the summed activity over the segment, duration its length.
     Partial segments touching either end of the signal are discarded.
     """
+    return [AvalancheEvent(int(s), int(t)) for s, t in zip(*_avalanche_arrays(y))]
+
+
+def _avalanche_arrays(y):
+    """The sizes and durations of extract_avalanches' events, as two int64
+    arrays."""
     y = np.asarray(y)
     if y.size == 0:
-        return []
+        return np.zeros((2, 0), dtype=np.int64)
     active = y > 0
     flips = np.diff(active.astype(np.int8))
     starts = np.flatnonzero(flips == 1) + 1
@@ -116,9 +122,7 @@ def extract_avalanches(y):
     n = min(starts.size, ends.size)
     starts, ends = starts[:n], ends[:n]
     csum = np.concatenate([[0], np.cumsum(y, dtype=np.int64)])
-    sizes = csum[ends] - csum[starts]
-    durations = ends - starts
-    return [AvalancheEvent(int(s), int(t)) for s, t in zip(sizes, durations)]
+    return csum[ends] - csum[starts], (ends - starts).astype(np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -352,16 +356,15 @@ def threshold_scan(net, wts, config, f0_grid=None, engine="incremental",
     entries = []
     for k, f0 in enumerate(f0_grid):
         y = counts[:, k]
-        events = extract_avalanches(y)
+        sizes, _ = _avalanche_arrays(y)
         entry = ThresholdScanEntry(
-            f0=float(f0), n_events=len(events),
+            f0=float(f0), n_events=len(sizes),
             zero_fraction=float(np.mean(y == 0)), tau_s=None)
-        if len(events) < min_events:
+        if len(sizes) < min_events:
             entry.note = "too few events"
         elif entry.zero_fraction < 1e-3:
             entry.note = "no quiescence"
         else:
-            sizes = np.array([e.size for e in events])
             try:
                 entry.tau_s = fit_power_law(log_bin(sizes), size_range)
             except FitDomainError as exc:
@@ -529,10 +532,7 @@ def stationary_profit_quantile(sim, q, n_snapshots=200):
     samples = []
     eng = sim.engine
     for t in range(cfg.transient_steps, cfg.total_steps, stride):
-        if t > sim.t:
-            _advance_to(sim, t)
-            # eng.profit is now the state the NEXT step will see; pair it
-            # with the next step's mean price
-            samples.append(eng.profit / (eng.psum / eng.n))
+        _advance_to(sim, t)  # the profits and mean price step t sees
+        samples.append(eng.profit / (eng.psum / eng.n))
     _advance_to(sim, cfg.total_steps)
     return float(np.quantile(np.concatenate(samples), q))

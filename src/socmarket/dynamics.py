@@ -16,8 +16,8 @@ Two interchangeable engines drive the evaluation:
                  engine builds it for every agent at once (update_plan),
                  as CSR arrays that the compiled kernel (_kernel.c) reads.
                  The kernel runs a whole block of cuts: it takes each loser
-                 from a loser tree over the profits, repaired along the
-                 profit phase after every cut, and counts the activity.
+                 from a loser tree, repaired once per node over the profit
+                 phase, and counts the activity over candidate profits.
 
 Both engines keep their state in float64 numpy arrays.  Engine construction
 and renormalisation evaluate the full market too.  The incremental kernel
@@ -586,9 +586,9 @@ class Simulation:
 
         The incremental engine runs each block in the kernel
         (_kernel.c, socm_advance), which returns early when the prices
-        need renormalising and counts the activity at every step with one
-        pass over the profits; the full engine runs it in _full_block and
-        counts with numpy.  Both give the same counts.
+        need renormalising and counts the activity at every step over a
+        kept list of the low profits; the full engine runs it in
+        _full_block and counts with numpy.  Both give the same counts.
 
         Returns per-step arrays (loser, min_profit, mean_price,
         renorm_flags, activity or None) and the last cut eta.
@@ -630,13 +630,15 @@ class Simulation:
 
     @cached_property
     def _buffers(self):
-        """One block's uniform draws, and the kernel's losers, min profits
-        and mean prices, with the kernel's `steps` struct that holds their
-        addresses: taking an address through ctypes costs about as much as
-        a kernel step, so it is done once."""
+        """One block's uniform draws, the kernel's losers, min profits and
+        mean prices, and its activity candidates, with the `steps` struct
+        that holds their addresses: taking an address through ctypes costs
+        about as much as a kernel step, so it is done once."""
         arrays = (np.empty(self._BLOCK), np.empty(self._BLOCK, dtype=np.int32),
                   np.empty(self._BLOCK), np.empty(self._BLOCK))
-        ksteps = _kernel.Steps(*(a.ctypes.data for a in arrays))
+        self._candidates = below, slot = np.empty((2, self.net.n_agents), dtype=np.int32)
+        ksteps = _kernel.Steps(*(a.ctypes.data for a in arrays),
+                               below=below.ctypes.data, slot=slot.ctypes.data)
         return (*arrays, ksteps, ctypes.byref(ksteps))
 
     def _full_block(self, k, draws, loser_idx, min_profit, mean_price, renorm, f0, counts):

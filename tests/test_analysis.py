@@ -378,8 +378,8 @@ class TestThresholdScan:
     @pytest.mark.parametrize("transient,total,n_snapshots", [
         (0, 500, 200), (0, 300, 7), (50, 400, 200), (37, 1000, 3), (9000, 9300, 20)])
     def test_quantile_samples_the_stepwise_steps(self, transient, total, n_snapshots):
-        # reference: sample after each step t in {transient + k * stride}
-        # that lies in [1, total), stepping one day at a time
+        # reference: sample the state each step t in {transient + k * stride}
+        # below total sees, stepping one day at a time
         net = sm.build_ring(20)
         wts = sm.assign_weights_fixed(net, 0.4)
         cfg = sm.SimConfig(total_steps=total, transient_steps=transient, seed=4)
@@ -387,15 +387,27 @@ class TestThresholdScan:
         ref = sm.Simulation(net, wts, cfg)
         eng = ref.engine
         samples = []
-        while ref.t < total:
-            ref.step()
-            if transient <= ref.t < total and (ref.t - transient) % stride == 0:
+        for t in range(total):
+            if t >= transient and (t - transient) % stride == 0:
                 samples.append(eng.profit / (eng.psum / eng.n))
+            ref.step()
+        assert len(samples) == len(range(transient, total, stride))
         sim = sm.Simulation(net, wts, cfg)
         q = sm.stationary_profit_quantile(sim, 0.1, n_snapshots=n_snapshots)
         assert q == float(np.quantile(np.concatenate(samples), 0.1))
         assert sim.t == ref.t == total
         assert np.array_equal(sim.engine.p, eng.p)
+
+    def test_quantile_without_transient_samples_step_zero(self):
+        # one snapshot, at step 0: the initial state
+        net = sm.build_ring(20)
+        wts = sm.assign_weights_fixed(net, 0.4)
+        cfg = sm.SimConfig(total_steps=200, transient_steps=0, seed=4)
+        eng = sm.Simulation(net, wts, cfg).engine
+        expect = float(np.quantile(eng.profit / (eng.psum / eng.n), 0.5))
+        sim = sm.Simulation(net, wts, cfg)
+        assert sm.stationary_profit_quantile(sim, 0.5, n_snapshots=1) == expect
+        assert sim.t == 200
 
     def test_quantile_threshold_is_plausible(self):
         net = sm.build_ring(20)

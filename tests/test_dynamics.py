@@ -654,8 +654,8 @@ class TestGridCount:
         net = maker()
         v = self.at_equal_prices(net, "full").engine.profit[0]
         below, above = np.nextafter(v, -np.inf), np.nextafter(v, np.inf)
-        # the grid, and each threshold alone: the kernel skips the pass
-        # when the least profit is not below the highest threshold
+        # the grid, and each threshold alone: a profit equal to a threshold
+        # is not below it
         grids = {(v, below, above): [0, 0, net.n_agents], (v,): [0], (below,): [0],
                  (above,): [net.n_agents]}
         for engine in ("incremental", "full"):
@@ -667,11 +667,13 @@ class TestGridCount:
     def test_nan_least_profit_does_not_skip_the_count(self):
         net = sm.build_ring(30)
         profit = np.linspace(-1.0, 1.0, 30)
-        profit[3] = np.nan  # the loser tree's root, as np.argmin
+        # the first is the loser tree's root, as np.argmin; a NaN is a
+        # candidate of the kernel's count, but below no threshold
+        profit[[3, 20]] = np.nan
         for engine in ("incremental", "full"):
             sim = self.at_equal_prices(net, engine)
             sim.engine.profit = profit
-            assert sm.track_activity(sim, [-0.5, 0.0]).tolist() == [[7, 14]], engine
+            assert sm.track_activity(sim, [-0.5, 0.0, np.inf]).tolist() == [[7, 14, 28]], engine
 
     @pytest.mark.parametrize("maker,engine", [
         (lambda: sm.build_corner_lattice(32, "RT"), "incremental"),
@@ -700,6 +702,84 @@ class TestGridCount:
         tail = sm.track_activity(sm.Simulation.resume(net, wts, cfg, ckpt), self.GRID)
         joined = np.concatenate([head.activity[:1400], tail])
         assert joined.tolist() == ref["per_threshold"]
+
+
+class TestCandidateCount:
+    """The kernel counts the activity over a list of candidate profits,
+    listed anew on entry and whenever the mean price falls past a slack;
+    its counts must equal the full engine's numpy count bit for bit."""
+
+    MIXED = [-0.3, -0.004, -0.002, 0.0, 0.004, 0.3]
+
+    @staticmethod
+    def counts(net, wts, cfg, f0, engine, chunk=None):
+        """track_activity's counts, or those of _advance over chunks of
+        steps, on one engine."""
+        sim = sm.Simulation(net, wts, cfg, engine=engine)
+        if chunk is None:
+            return sm.track_activity(sim, f0)
+        return np.concatenate([sim._advance(min(chunk, cfg.total_steps - t), f0)[4]
+                               for t in range(0, cfg.total_steps, chunk)])
+
+    @pytest.mark.parametrize("grid", [MIXED, [0.001, 0.004, 0.3], [-0.3, -0.004], []],
+                             ids=["mixed", "positive", "negative", "empty"])
+    def test_mean_price_falls_past_the_slack_within_a_block(self, grid):
+        # cuts of up to 90 % move the mean price of a ring of 6 past the
+        # candidates' slack at almost every step, and renormalise it often
+        net = sm.build_ring(6)
+        wts = sm.assign_weights_uniform(net, np.random.default_rng(1))
+        cfg = sm.SimConfig(total_steps=3000, transient_steps=0, seed=3, eta_max=0.9)
+        rec = sm.Simulation(net, wts, cfg).run()
+        mp, block = rec.mean_price, sm.Simulation._BLOCK
+        assert np.count_nonzero(mp[1:block] < (1 - 1e-3) * mp[:block - 1]) > 500
+        assert np.count_nonzero(rec.renorm_flags) > 10
+        got = self.counts(net, wts, cfg, grid, "incremental")
+        assert np.array_equal(got, self.counts(net, wts, cfg, grid, "full"))
+
+    @pytest.mark.parametrize("f0", [MIXED, -0.004], ids=["grid", "scalar"])
+    def test_renormalisation_mid_block(self, f0):
+        net, wts = rt_lattice(16)
+        cfg = sm.SimConfig(total_steps=1500, transient_steps=0, seed=4, price_floor=0.4)
+        start = sm.Simulation(net, wts, cfg).engine
+        cfg = dataclasses.replace(cfg, renorm_threshold=0.997 * start.psum / start.n)
+        recs = [sm.Simulation(net, wts, cfg, engine=e).run(activity_f0=f0)
+                for e in ("incremental", "full")]
+        flags = np.flatnonzero(recs[0].renorm_flags)
+        assert len(flags) == 1 and 100 < flags[0] < sm.Simulation._BLOCK
+        assert recs[0].activity.dtype == recs[1].activity.dtype == np.int32
+        assert np.array_equal(recs[0].activity, recs[1].activity)
+        assert np.array_equal(recs[0].loser_index, recs[1].loser_index)
+
+    def test_candidates_are_the_profits_not_above_the_bound(self):
+        # after chunks that end mid-block, below[:nbelow] lists each agent
+        # whose profit is not >= bound once, and slot is its place there
+        net, wts = rt_lattice()
+        cfg = sm.SimConfig(total_steps=20_000, transient_steps=0, seed=7)
+        sim = sm.Simulation(net, wts, cfg)
+        for chunk in (1, 2, 1023, 1025, 5000, 12_949):
+            sim._advance(chunk, [-0.006, -0.004])
+            ksteps = sim._buffers[4]
+            below, slot = sim._candidates
+            listed = below[:ksteps.nbelow]
+            expected = np.flatnonzero(~(sim.engine.profit >= ksteps.bound))
+            assert 0 < len(listed) < net.n_agents and sorted(listed) == expected.tolist()
+            assert np.array_equal(slot[listed], np.arange(len(listed)))
+            assert np.count_nonzero(slot >= 0) == len(listed)
+
+    def test_simulations_in_alternating_blocks_count_as_each_alone(self):
+        # each Simulation keeps its own candidates: two advanced in turns,
+        # in chunks that end mid-block, count as each does alone
+        net, wts = rt_lattice()
+        cfgs = [sm.SimConfig(total_steps=3000, transient_steps=0, seed=s) for s in (1, 2)]
+        alone = [self.counts(net, wts, cfg, self.MIXED, "incremental") for cfg in cfgs]
+        sims = [sm.Simulation(net, wts, cfg) for cfg in cfgs]
+        parts = [[], []]
+        for t in range(0, 3000, 700):
+            for sim, part in zip(sims, parts):
+                part.append(sim._advance(min(700, 3000 - t), self.MIXED)[4])
+        for part, ref in zip(parts, alone):
+            assert np.array_equal(np.concatenate(part), ref)
+        assert np.array_equal(alone[0], self.counts(net, wts, cfgs[0], self.MIXED, "full", 700))
 
 
 class TestRecordSerialization:

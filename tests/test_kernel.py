@@ -163,7 +163,12 @@ class LoserTree:
 
     def set(self, i, value):
         self.profit[i] = value
-        self.lib.socm_tree_fix(ctypes.byref(self.market), i)
+        self.repair([i])
+
+    def repair(self, leaves):
+        """Repair the tree after the profits of `leaves` changed."""
+        leaves = np.array(leaves, dtype=np.int32)
+        self.lib.socm_tree_repair(ctypes.byref(self.market), leaves.ctypes.data, len(leaves))
 
     @property
     def root(self):
@@ -188,6 +193,32 @@ def test_loser_tree_root_is_argmin(n):
             assert tree.root == np.argmin(tree.profit)
     tree.lib.socm_tree_build(ctypes.byref(tree.market))
     assert tree.root == np.argmin(tree.profit)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 1000])
+@pytest.mark.parametrize("order", ["ascending", "descending", "repeated", "single"])
+def test_repair_over_leaves_equals_a_rebuilt_tree(n, order):
+    # each leaf climbs only to where its path meets the next leaf's; in any
+    # order of the leaves, and with repeats, every node ends up as a rebuilt
+    # tree's, not only the root
+    rng = np.random.default_rng(n)
+    values = np.array([-1.0, -0.0, 0.0, 0.5, 2.0, -np.inf, np.inf, np.nan])
+    tree = LoserTree(rng.choice(values[:5], n))
+    for _ in range(200):
+        if order == "single":
+            leaves = [int(rng.integers(n))]
+        else:
+            leaves = np.unique(rng.integers(n, size=int(rng.integers(1, 40))))
+            if order == "descending":
+                leaves = leaves[::-1]
+            elif order == "repeated":
+                leaves = rng.permutation(np.repeat(leaves, rng.integers(1, 4, leaves.size)))
+        tree.profit[leaves] = rng.choice(values, len(leaves), p=[0.14] * 7 + [0.02])
+        tree.repair(leaves)
+        repaired = tree.tree[1:].copy()
+        tree.lib.socm_tree_build(ctypes.byref(tree.market))
+        assert np.array_equal(tree.tree[1:], repaired)
+        assert tree.root == np.argmin(tree.profit)
 
 
 def test_loser_tree_ties_and_nan():
