@@ -56,29 +56,44 @@ def _linregress(x, y):
     return slope, intercept, r, stderr
 
 
-def fit_decay_rate(series, smooth_window=1):
+def fit_decay_rate(series, smooth_window=1, renorm_flags=None):
     """Exponential decay rate of a one-signed series.
 
     Smooths with a moving average (which leaves a pure exponential's
     log-slope unchanged), requires a single sign afterwards, then fits
     log|series| against time.  Returns k > 0 for decaying input.
+
+    renorm_flags marks the steps where the series was rescaled (a run's
+    renormalisations, where the mean price jumps back to about 1).  If any
+    is set, each stretch from one flag to the next is smoothed on its own,
+    and the fit is the slope the stretches share: the least-squares slope
+    of the points' offsets from their stretch's means.
     """
     s = np.asarray(series, dtype=np.float64)
+    rescaled = renorm_flags is not None and np.any(renorm_flags)
+    parts = np.split(s, np.flatnonzero(renorm_flags)) if rescaled else [s]
     if smooth_window > 1:
         if smooth_window > s.size:
             raise FitDomainError("smoothing window longer than the series")
         kernel = np.full(smooth_window, 1.0 / smooth_window)
-        s = np.convolve(s, kernel, mode="valid")
-    if np.all(s > 0.0):
-        pass
-    elif np.all(s < 0.0):
-        s = -s
-    else:
+        parts = [np.convolve(part, kernel, mode="valid")
+                 for part in parts if part.size >= smooth_window]
+    if rescaled:  # a stretch of one point holds no slope
+        parts = [part for part in parts if part.size > 1]
+    s = np.concatenate(parts) if parts else s[:0]
+    if not (np.all(s > 0.0) or np.all(s < 0.0)):
         raise FitDomainError("series changes sign after smoothing")
     if s.size < 3:
         raise FitDomainError("too few points for a decay fit")
-    t = np.arange(s.size)
-    return -float(_linregress(t, np.log(s))[0])
+    if not rescaled:
+        return -float(_linregress(np.arange(s.size), np.log(np.abs(s)))[0])
+    moved = offsets = 0.0
+    for part in parts:
+        t, y = np.arange(part.size), np.log(np.abs(part))
+        t = t - t.mean()
+        moved += t @ (y - y.mean())
+        offsets += t @ t
+    return -float(moved / offsets)
 
 
 def predicted_decay_rate(n_agents, eta_max):

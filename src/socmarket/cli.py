@@ -421,7 +421,7 @@ def cmd_decay_check(ecfg, args):
     if predicted * record.total_steps < np.log(10.0):
         warnings.warn("run too short for a decade of decay; the fit will be "
                       "noisy", StatisticsWarning, stacklevel=2)
-    fitted = analysis.fit_decay_rate(record.mean_price)
+    fitted = analysis.fit_decay_rate(record.mean_price, renorm_flags=record.renorm_flags)
     config_hash, seed = _provenance(ecfg, args, record)
     result = {
         "config_hash": config_hash,

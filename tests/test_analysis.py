@@ -28,6 +28,26 @@ class TestDecayRate:
         with pytest.raises(FitDomainError):
             sm.fit_decay_rate(series)
 
+    @pytest.mark.parametrize("window", [1, 5])
+    def test_renormalised_stretches_share_a_slope(self, window):
+        # the series jumps back to 1 at each flagged step; without the
+        # flags one line through it reads a rate far too low
+        series = np.exp(-1e-2 * np.arange(300))
+        flags = np.zeros(300, dtype=bool)
+        flags[[0, 100, 101, 250]] = True
+        for k in (100, 101, 250):
+            series[k:] /= series[k]
+        assert sm.fit_decay_rate(series, window) < 2e-3
+        assert sm.fit_decay_rate(series, window, renorm_flags=flags) == pytest.approx(1e-2)
+        # one stretch: the shared slope is the line's
+        assert sm.fit_decay_rate(series[:100], window, renorm_flags=flags[:100]) == (
+            pytest.approx(sm.fit_decay_rate(series[:100], window), rel=1e-12))
+
+    def test_renormalised_stretches_too_short(self):
+        flags = np.ones(4, dtype=bool)
+        with pytest.raises(FitDomainError):
+            sm.fit_decay_rate(np.ones(4), renorm_flags=flags)
+
     def test_prediction_formula(self):
         # <eta>/[N(1-<eta>)] at eta_max=1%, N=100
         assert sm.predicted_decay_rate(100, 0.01) == pytest.approx(

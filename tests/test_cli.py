@@ -488,6 +488,28 @@ dir = {out}
             sm.predicted_decay_rate(50, 0.01))
         assert 0.5 < res["ratio"] < 2.0
 
+    def test_ratio_over_renormalisations(self, tmp_path):
+        # a cut of up to 50 % on a ring of 10 renormalises 7 times in 3 000
+        # steps; one line through the whole mean-price series reads 0.013
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.ini", f"""
+[topology]
+kind = ring
+n = 10
+
+[sim]
+eta_max = 0.5
+total_steps = 3000
+transient_steps = 100
+seed = 3
+
+[output]
+dir = {out}
+""")
+        assert cli.main(["decay-check", "--config", cfg]) == 0
+        res = json.loads((out / "decay_check.json").read_text())
+        assert res["ratio"] == pytest.approx(0.917, abs=0.001)
+
 
 class TestBuildCount:
     """Each process builds an experiment's network only where it runs it."""
