@@ -1,17 +1,19 @@
-/* The incremental engine's kernel: the update after one price change, the
- * loser tree, and the step loop over a block of price cuts with its
- * activity count.
+/* The incremental engine's kernel over one struct, `market`, which the
+ * engine binds once: the update after one price change, the loser tree, and
+ * the step loop over a block of price cuts with its activity count.
  *
  * After one price change socm_update recomputes, phase by phase, production
- * and wants, demand, traded and profit over the changed agent's affected
- * sets, with market.evaluate_market's arithmetic in its order, so the two
- * give the same bits.  Build it without contraction or reassociation of
+ * and wants, demand, traded and profit over the changed agent's plan row,
+ * with market.evaluate_market's arithmetic in its order, so the two give
+ * the same bits.  Build it without contraction or reassociation of
  * floating-point operations (-ffp-contract=off, never -ffast-math): a fused
  * multiply-add would change the bits.
  */
 
 #include <math.h>
 #include <stdint.h>
+
+#define TWO_THIRDS (2.0 / 3.0) /* the same double as market.TWO_THIRDS */
 
 typedef struct {
     /* engine state, one slot per agent (per edge for wants) */
@@ -24,7 +26,6 @@ typedef struct {
     /* phase k of agent c's plan is plan[plan_ptr[4c + k] .. plan_ptr[4c + k + 1] - 1] */
     const int64_t *plan_ptr;
     const int32_t *plan;
-    double two_thirds;
     /* loser tree over the n profits: node v (1 <= v < size) holds the
        winner of nodes 2v and 2v + 1, leaf size + i holds agent i, and the
        leaves past n hold -1; size is the least power of two >= n */
@@ -32,6 +33,26 @@ typedef struct {
     int64_t n, size;
     /* sum of the prices, kept by the cuts */
     double psum;
+    /* one block of steps: step j cuts the loser's price by the factor
+       1 - eta_max * u[j] and writes loser[j], min_profit[j] and
+       mean_price[j] */
+    const double *u;
+    int32_t *loser;
+    double *min_profit, *mean_price;
+    double eta_max;
+    /* the mean price below which the prices are renormalised */
+    double level;
+    /* activity[j * nf0 + k] counts the profits below f0[k] * mean price */
+    int64_t nf0;
+    const double *f0;
+    int32_t *activity;
+    /* the activity's candidates: below[0 .. nbelow - 1] lists the agents
+       whose profit is not >= bound, and slot[i] is agent i's place there
+       or -1; bound is at least every threshold while the mean price is at
+       least mp_low */
+    int32_t *below, *slot;
+    int64_t nbelow;
+    double bound, mp_low;
 } market;
 
 /* The winner of a and b, where a's leaves lie left of b's: b wins only with
@@ -83,15 +104,16 @@ void socm_tree_repair(const market *m, const int32_t *leaves, int64_t count)
             tree[u] = winner(m->profit, tree[2 * u], tree[2 * u + 1]);
 }
 
-/* Recompute production and wants over agents[b[0] .. b[1] - 1], demand over
-   agents[b[1] .. b[2] - 1], traded over agents[b[2] .. b[3] - 1] and profit
-   over agents[b[3] .. b[4] - 1], in that order, and repair the loser tree
+/* Recompute, over the phases of agent c's plan row, production and wants,
+   then demand, traded and profit, in that order, and repair the loser tree
    over the profits: along their paths (socm_tree_repair), or all at once
    where the leaf-to-root paths hold more matches than the tree (dense
    plans, such as ER100's, where a cut recomputes most profits); returns
    the profit count. */
-int socm_update(const market *m, const int64_t *b, const int32_t *agents)
+int socm_update(const market *m, int c)
 {
+    const int64_t *b = m->plan_ptr + 4 * (int64_t)c;
+    const int32_t *agents = m->plan;
     const double *p = m->p, *w = m->w;
     double *wants = m->wants, *qp = m->qp, *qW = m->qW, *qt = m->qt;
     const int64_t *sup_ptr = m->sup_ptr, *sup_idx = m->sup_idx;
@@ -105,7 +127,7 @@ int socm_update(const market *m, const int64_t *b, const int32_t *agents)
             wants[e] = pr;
             tot += sqrt(pr);
         }
-        q = pow(tot, m->two_thirds);
+        q = pow(tot, TWO_THIRDS);
         qp[i] = q;
         for (e = sup_ptr[i]; e < sup_ptr[i + 1]; e++)
             wants[e] = wants[e] * q;
@@ -141,50 +163,22 @@ int socm_update(const market *m, const int64_t *b, const int32_t *agents)
     return (int)(b[4] - b[3]);
 }
 
-/* socm_update over the plan of agent c */
-int socm_update_agent(const market *m, int c)
-{
-    return socm_update(m, m->plan_ptr + 4 * (int64_t)c, m->plan);
-}
-
-/* What socm_advance reads and writes for one block of steps. */
-typedef struct {
-    /* step j cuts the loser's price by the factor 1 - eta_max * u[j] */
-    const double *u;
-    int32_t *loser;
-    double *min_profit, *mean_price;
-    double eta_max;
-    /* the mean price below which the prices are renormalised */
-    double level;
-    /* activity[j * nf0 + k] counts the profits below f0[k] * mean price */
-    int64_t nf0;
-    const double *f0;
-    int32_t *activity;
-    /* the activity's candidates: below[0 .. nbelow - 1] lists the agents
-       whose profit is not >= bound, and slot[i] is agent i's place there
-       or -1; bound is at least every threshold while the mean price is at
-       least mp_low */
-    int32_t *below, *slot;
-    int64_t nbelow;
-    double bound, mp_low;
-} steps;
-
 /* Add agent i to the candidates or remove it, after its profit changed; a
    removal moves the last candidate into its place (the counts are integer
    sums, so the order is free). */
-static void place(const market *m, steps *s, int32_t i)
+static void place(market *m, int32_t i)
 {
-    int32_t at = s->slot[i], last;
-    int listed = !(m->profit[i] >= s->bound);
+    int32_t at = m->slot[i], last;
+    int listed = !(m->profit[i] >= m->bound);
 
     if (listed && at < 0) {
-        s->slot[i] = (int32_t)s->nbelow;
-        s->below[s->nbelow++] = i;
+        m->slot[i] = (int32_t)m->nbelow;
+        m->below[m->nbelow++] = i;
     } else if (!listed && at >= 0) {
-        last = s->below[--s->nbelow];
-        s->below[at] = last;
-        s->slot[last] = at;
-        s->slot[i] = -1;
+        last = m->below[--m->nbelow];
+        m->below[at] = last;
+        m->slot[last] = at;
+        m->slot[i] = -1;
     }
 }
 
@@ -192,33 +186,33 @@ static void place(const market *m, steps *s, int32_t i)
    and a threshold f0[k] * mp' at any mp' in [mp_low, mp] lies between
    f0[k] * mp and f0[k] * mp_low, so it is at most bound until the mean
    price falls 0.1 % below mp. */
-static void list_below(const market *m, steps *s, double mp)
+static void list_below(market *m, double mp)
 {
     int64_t i, k;
 
-    s->mp_low = mp * (1.0 - 1e-3);
-    s->bound = -INFINITY;
-    for (k = 0; k < s->nf0; k++)
-        s->bound = fmax(s->bound, fmax(s->f0[k] * mp, s->f0[k] * s->mp_low));
-    s->nbelow = 0;
+    m->mp_low = mp * (1.0 - 1e-3);
+    m->bound = -INFINITY;
+    for (k = 0; k < m->nf0; k++)
+        m->bound = fmax(m->bound, fmax(m->f0[k] * mp, m->f0[k] * m->mp_low));
+    m->nbelow = 0;
     for (i = 0; i < m->n; i++) {
-        s->slot[i] = -1;
-        place(m, s, (int32_t)i);
+        m->slot[i] = -1;
+        place(m, (int32_t)i);
     }
 }
 
 /* Count step j's row of activity: the candidates below each threshold
    f0[k] * mp. */
-static void count_activity(const market *m, const steps *s, int j, double mp)
+static void count_activity(const market *m, int j, double mp)
 {
-    int32_t *row = s->activity + (int64_t)j * s->nf0;
+    int32_t *row = m->activity + (int64_t)j * m->nf0;
     int64_t i, k;
 
-    for (k = 0; k < s->nf0; k++) {
-        double top = s->f0[k] * mp;
+    for (k = 0; k < m->nf0; k++) {
+        double top = m->f0[k] * mp;
         int32_t count = 0;
-        for (i = 0; i < s->nbelow; i++)
-            count += m->profit[s->below[i]] < top;
+        for (i = 0; i < m->nbelow; i++)
+            count += m->profit[m->below[i]] < top;
         row[k] = count;
     }
 }
@@ -235,7 +229,7 @@ static void count_activity(const market *m, const steps *s, int j, double mp)
  * profit phase.  Returns the step it stopped before, or -1 - j if step j's
  * new price is not positive (nothing of step j is done).
  */
-int socm_advance(market *m, steps *s, int from, int count, int renormed)
+int socm_advance(market *m, int from, int count, int renormed)
 {
     double *p = m->p, *profit = m->profit;
     int64_t k;
@@ -245,26 +239,26 @@ int socm_advance(market *m, steps *s, int from, int count, int renormed)
         double mp = m->psum / (double)m->n, old, cut;
         int32_t c = m->tree[1];
 
-        if (mp < s->level && !(renormed && j == from))
+        if (mp < m->level && !(renormed && j == from))
             return j;
         old = p[c];
-        cut = old * (1.0 - s->eta_max * s->u[j]);
+        cut = old * (1.0 - m->eta_max * m->u[j]);
         if (!(cut > 0.0))
             return -1 - j;
-        s->loser[j] = c;
-        s->min_profit[j] = profit[c];
-        s->mean_price[j] = mp;
-        if (s->activity) {
-            if (j == from || !(mp >= s->mp_low))
-                list_below(m, s, mp);
-            count_activity(m, s, j, mp);
+        m->loser[j] = c;
+        m->min_profit[j] = profit[c];
+        m->mean_price[j] = mp;
+        if (m->activity) {
+            if (j == from || !(mp >= m->mp_low))
+                list_below(m, mp);
+            count_activity(m, j, mp);
         }
         m->psum += cut - old;
         p[c] = cut;
-        socm_update_agent(m, c);
-        if (s->activity)
+        socm_update(m, c);
+        if (m->activity)
             for (k = m->plan_ptr[4 * c + 3]; k < m->plan_ptr[4 * c + 4]; k++)
-                place(m, s, m->plan[k]);
+                place(m, m->plan[k]);
     }
     return count;
 }

@@ -33,19 +33,14 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 
 class Market(ctypes.Structure):
-    """The kernel's `market` struct: addresses of the engine's arrays, the
-    loser tree's, and the price sum."""
-    _fields_ = [(name, ctypes.c_void_p) for name in (
-        "p", "wants", "qp", "qW", "qt", "profit", "w",
-        "sup_ptr", "sup_idx", "in_ptr", "in_idx", "plan_ptr", "plan")
-    ] + [("two_thirds", ctypes.c_double), ("tree", ctypes.c_void_p),
-         ("n", ctypes.c_int64), ("size", ctypes.c_int64), ("psum", ctypes.c_double)]
-
-
-class Steps(ctypes.Structure):
-    """The kernel's `steps` struct: the buffers and settings of a block of
-    steps, and the activity's candidate list."""
+    """The kernel's `market` struct: addresses of the engine's arrays and
+    the loser tree's, the price sum, one block of steps' buffers and
+    settings, and the activity's candidate list."""
     _fields_ = [
+        *((name, ctypes.c_void_p) for name in (
+            "p", "wants", "qp", "qW", "qt", "profit", "w", "sup_ptr", "sup_idx",
+            "in_ptr", "in_idx", "plan_ptr", "plan", "tree")),
+        ("n", ctypes.c_int64), ("size", ctypes.c_int64), ("psum", ctypes.c_double),
         *((name, ctypes.c_void_p) for name in ("u", "loser", "min_profit", "mean_price")),
         ("eta_max", ctypes.c_double), ("level", ctypes.c_double), ("nf0", ctypes.c_int64),
         ("f0", ctypes.c_void_p), ("activity", ctypes.c_void_p), ("below", ctypes.c_void_p),
@@ -85,7 +80,6 @@ def _intact(path):
 def _open(path):
     lib = ctypes.CDLL(str(path))
     market, ptr = ctypes.POINTER(Market), ctypes.c_void_p
-    lib.socm_update.argtypes = (market, ptr, ptr)
     lib.socm_tree_build.argtypes = (market,)
     lib.socm_tree_build.restype = None
     lib.socm_tree_repair.argtypes = (market, ptr, ctypes.c_int64)
@@ -93,7 +87,7 @@ def _open(path):
     # the per-step and per-block entries have no argtypes, whose
     # conversions cost more than the kernel on small plans: pass them
     # ctypes.byref(struct) and ints
-    lib.socm_update_agent.argtypes = None
+    lib.socm_update.argtypes = None
     lib.socm_advance.argtypes = None
     return lib
 

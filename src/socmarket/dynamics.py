@@ -33,15 +33,14 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from functools import cached_property, partial
-from itertools import chain
+from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import _kernel
 from .errors import ConsistencyError, MarketDomainError
-from .market import TWO_THIRDS, evaluate_market
+from .market import evaluate_market
 
 
 @dataclass(frozen=True)
@@ -183,7 +182,10 @@ class MarketEngine:
     evaluate_market's arithmetic in its order, so both give the same bits.
     The incremental engine also keeps a loser tree over the profits (an
     int32 array, `_tree`): the kernel repairs it after every update, and
-    recompute_all and any assignment to `profit` rebuild it.
+    recompute_all and any assignment to `profit` rebuild it.  The kernel's
+    one struct, `_market`, is bound here once (an address taken through
+    ctypes costs about a kernel step): the state, the plan, the tree,
+    `psum`, one block's buffers and the activity's candidates.
     """
 
     p = _State()
@@ -195,6 +197,8 @@ class MarketEngine:
     # the state arrays evaluate_market's snapshot fields go to
     _SNAPSHOT = (("production", "_qp"), ("wants", "_wants"), ("demand", "_qW"),
                  ("traded", "_qt"), ("profit", "_profit"))
+    # price cuts drawn per generator call
+    _BLOCK = 1024
 
     def __init__(self, net, wts, prices, incremental=True):
         # built first, so that a missing compiler fails before any work
@@ -205,8 +209,10 @@ class MarketEngine:
         self._p = np.array(prices, dtype=np.float64)
         self._qp, self._qW, self._qt, self._profit = (np.empty(n) for _ in range(4))
         self._wants = np.empty(net.n_edges)
+        # one block's uniform draws; the cuts are eta_max times them
+        self._draws = np.empty(self._BLOCK)
         # the full engine's struct only holds the price sum
-        self._market = _kernel.Market(two_thirds=TWO_THIRDS, n=n)
+        self._market = _kernel.Market(n=n)
         # the profits a cut of each agent's price recomputes (full engine: None)
         self._touches = None
         if incremental:
@@ -217,13 +223,21 @@ class MarketEngine:
             self._w = np.ascontiguousarray(wts.weights_flat, dtype=np.float64)
             size = 1 << (n - 1).bit_length()  # leaves of the loser tree
             self._tree = np.empty(2 * size, dtype=np.int32)
+            # one block's losers, min profits and mean prices, and the
+            # activity's candidates
+            self._losers = np.empty(self._BLOCK, dtype=np.int32)
+            self._mins, self._means = np.empty((2, self._BLOCK))
+            self._below, self._slot = np.empty((2, n), dtype=np.int32)
             arrays = (self._p, self._wants, self._qp, self._qW, self._qt, self._profit,
                       self._w, net.sup_ptr, net.sup_idx, net.in_ptr, net.in_idx,
-                      self._plan_ptr, self._plan)
-            self._market = _kernel.Market(*(a.ctypes.data for a in arrays), TWO_THIRDS,
-                                          self._tree.ctypes.data, n, size)
+                      self._plan_ptr, self._plan, self._tree)
+            block = (self._draws, self._losers, self._mins, self._means)
+            self._market = _kernel.Market(
+                *(a.ctypes.data for a in arrays), n, size, 0.0,
+                *(a.ctypes.data for a in block),
+                below=self._below.ctypes.data, slot=self._slot.ctypes.data)
             self._market_ref = ctypes.byref(self._market)
-            self._update_agent = partial(lib.socm_update_agent, self._market_ref)
+            self._update_agent = partial(lib.socm_update, self._market_ref)
         self.recompute_all()
         self.psum = math.fsum(self._p)
 
@@ -235,18 +249,6 @@ class MarketEngine:
     @psum.setter
     def psum(self, value):
         self._market.psum = value
-
-    def _update(self, production, demand, traded, profit):
-        """Recompute production and wants over `production`, demand over
-        `demand`, traded over `traded` and profit over `profit`, in that
-        order, in the kernel."""
-        phases = (production, demand, traded, profit)
-        bounds = np.cumsum([0, *map(len, phases)], dtype=np.int64)
-        agents = np.fromiter(chain(*phases), dtype=np.int32, count=bounds[-1])
-        if agents.size and not 0 <= agents.min() <= agents.max() < self.n:
-            raise IndexError("agent out of range")
-        self.touched_last = self._lib.socm_update(
-            self._market, bounds.ctypes.data, agents.ctypes.data)
 
     def recompute_all(self):
         """Take the whole state from evaluate_market, in place."""
@@ -521,8 +523,7 @@ def _new_engine(net, wts, prices, engine):
 class Simulation:
     """Owns an engine, the random source, and the step loop (_advance)."""
 
-    # price cuts drawn per generator call
-    _BLOCK = 1024
+    _BLOCK = MarketEngine._BLOCK
 
     def __init__(self, net, wts, config, engine="incremental"):
         config.validate()
@@ -585,10 +586,11 @@ class Simulation:
         a block ends at every audit and checkpoint step.
 
         The incremental engine runs each block in the kernel
-        (_kernel.c, socm_advance), which returns early when the prices
-        need renormalising and counts the activity at every step over a
-        kept list of the low profits; the full engine runs it in
-        _full_block and counts with numpy.  Both give the same counts.
+        (_kernel.c, socm_advance) over the engine's struct and buffers,
+        which returns early when the prices need renormalising and counts
+        the activity at every step over a kept list of the low profits; the
+        full engine runs it in _full_block and counts with numpy.  Both
+        give the same counts.
 
         Returns per-step arrays (loser, min_profit, mean_price,
         renorm_flags, activity or None) and the last cut eta.
@@ -601,13 +603,12 @@ class Simulation:
             activity = np.empty((count,) + np.shape(activity_f0), dtype=np.int32)
             f0 = np.array(activity_f0, dtype=np.float64).reshape(-1)
             counts = activity.reshape(count, len(f0))  # a view, one row per step
-        block = self._full_block
-        draws, *_, ksteps, _ = self._buffers
+        block, draws, market = self._full_block, eng._draws, eng._market
         if eng.incremental:
             block = self._kernel_block
-            ksteps.eta_max, ksteps.level = self.config.eta_max, self._renorm_level
-            ksteps.nf0 = 0 if f0 is None else len(f0)
-            ksteps.f0 = None if f0 is None else f0.ctypes.data
+            market.eta_max, market.level = self.config.eta_max, self._renorm_level
+            market.nf0 = 0 if f0 is None else len(f0)
+            market.f0 = None if f0 is None else f0.ctypes.data
         if not checkpoint_path:
             checkpoint_every = 0
         t, k, eta = self._t, 0, None
@@ -627,19 +628,6 @@ class Simulation:
             if checkpoint_every and t % checkpoint_every == 0:
                 save_checkpoint(checkpoint_path, t, eng.p, rng, eng.psum, self._renorm_level)
         return (*steps, activity, eta)
-
-    @cached_property
-    def _buffers(self):
-        """One block's uniform draws, the kernel's losers, min profits and
-        mean prices, and its activity candidates, with the `steps` struct
-        that holds their addresses: taking an address through ctypes costs
-        about as much as a kernel step, so it is done once."""
-        arrays = (np.empty(self._BLOCK), np.empty(self._BLOCK, dtype=np.int32),
-                  np.empty(self._BLOCK), np.empty(self._BLOCK))
-        self._candidates = below, slot = np.empty((2, self.net.n_agents), dtype=np.int32)
-        ksteps = _kernel.Steps(*(a.ctypes.data for a in arrays),
-                               below=below.ctypes.data, slot=slot.ctypes.data)
-        return (*arrays, ksteps, ctypes.byref(ksteps))
 
     def _full_block(self, k, draws, loser_idx, min_profit, mean_price, renorm, f0, counts):
         """Steps k .. k + len(draws) - 1 of _advance, one at a time, on the
@@ -665,24 +653,23 @@ class Simulation:
         renormalisation wherever it stops early; the kernel writes the rows
         of activity counts."""
         eng = self._eng
-        _, losers, mins, means, ksteps, ksteps_ref = self._buffers
-        ksteps.activity = None if counts is None else counts[k:].ctypes.data
+        eng._market.activity = None if counts is None else counts[k:].ctypes.data
         market, advance, m = eng._market_ref, eng._lib.socm_advance, len(draws)
         done = 0
         while True:
             # renorm[k + done] is set where the kernel stopped for a
             # renormalisation, which then must not stop it again
-            done = advance(market, ksteps_ref, done, m, int(renorm[k + done]))
+            done = advance(market, done, m, int(renorm[k + done]))
             if done < 0:
                 raise MarketDomainError("price must remain positive")
             if done == m:
                 break
             eng.renormalize()
             renorm[k + done] = True
-        loser_idx[k:k + m] = losers[:m]
-        min_profit[k:k + m] = mins[:m]
-        mean_price[k:k + m] = means[:m]
-        eng.touched_last = int(eng._touches[losers[m - 1]])
+        loser_idx[k:k + m] = eng._losers[:m]
+        min_profit[k:k + m] = eng._mins[:m]
+        mean_price[k:k + m] = eng._means[:m]
+        eng.touched_last = int(eng._touches[eng._losers[m - 1]])
 
     @classmethod
     def resume(cls, net, wts, config, checkpoint_path, engine="incremental"):

@@ -185,10 +185,11 @@ class TestAffectedSets:
             a = sm.MarketEngine(net, wts, prices)
             b = sm.MarketEngine(net, wts, prices)
             c = int(rng.integers(net.n_agents))
+            for j in range(4 * c, 4 * c + 4):
+                phase = b._plan[b._plan_ptr[j]:b._plan_ptr[j + 1]]
+                phase[...] = rng.permutation(phase)
             a.apply_price_change(c, prices[c] * 0.99)
-            b.p[c] = prices[c] * 0.99
-            b._update(*(rng.permutation(phase).tolist()
-                        for phase in sm.affected_sets(net, c)))
+            b.apply_price_change(c, prices[c] * 0.99)
             assert all(map(np.array_equal, (a.qp, a.wants, a.qW, a.qt),
                            (b.qp, b.wants, b.qW, b.qt)))
             assert a.profit.tobytes() == b.profit.tobytes()
@@ -758,10 +759,10 @@ class TestCandidateCount:
         sim = sm.Simulation(net, wts, cfg)
         for chunk in (1, 2, 1023, 1025, 5000, 12_949):
             sim._advance(chunk, [-0.006, -0.004])
-            ksteps = sim._buffers[4]
-            below, slot = sim._candidates
-            listed = below[:ksteps.nbelow]
-            expected = np.flatnonzero(~(sim.engine.profit >= ksteps.bound))
+            eng = sim.engine
+            below, slot, kernel = eng._below, eng._slot, eng._market
+            listed = below[:kernel.nbelow]
+            expected = np.flatnonzero(~(eng.profit >= kernel.bound))
             assert 0 < len(listed) < net.n_agents and sorted(listed) == expected.tolist()
             assert np.array_equal(slot[listed], np.arange(len(listed)))
             assert np.count_nonzero(slot >= 0) == len(listed)
