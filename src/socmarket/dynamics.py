@@ -50,7 +50,8 @@ class SimConfig:
     Initial prices are uniform on [price_floor, price_floor + 1).
     renorm_threshold is an absolute mean-price level below which all prices
     are divided by the current mean (an underflow guard that leaves the
-    dynamics invariant); None resolves to 1e-6 times the initial mean.
+    dynamics invariant); None resolves to 1e-6 times the initial mean, and
+    a level below 1e-6 * price_floor is refused (see validate).
     """
     price_floor: float = 10.0
     eta_max: float = 0.01
@@ -66,8 +67,11 @@ class SimConfig:
             raise ValueError(f"eta_max must lie in (0, 1), got {self.eta_max}")
         if not 0 <= self.transient_steps < self.total_steps:
             raise ValueError("need 0 <= transient_steps < total_steps")
-        if self.renorm_threshold is not None and not self.renorm_threshold > 0.0:
-            raise ValueError("renorm_threshold must be positive or None")
+        if not (self.renorm_threshold is None or self.renorm_threshold >= 1e-6 * self.price_floor):
+            raise ValueError(
+                f"renorm_threshold must be None or at least 1e-6 * price_floor, got "
+                f"{self.renorm_threshold}: the engines keep the price sum by adding each cut's "
+                "change, which stops tracking the mean price far below its start")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         return self

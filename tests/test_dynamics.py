@@ -41,6 +41,7 @@ class TestSimConfig:
         dict(eta_max=1.0),
         dict(transient_steps=100, total_steps=100),
         dict(renorm_threshold=-1.0),
+        dict(renorm_threshold=1e-300),
         dict(seed=-3),
     ])
     def test_invalid_configs(self, kw):
