@@ -41,7 +41,6 @@ TOPOLOGY_KEYS = {
     "manhattan": ("L",),
     "f_lattice": ("L",),
     "corner": ("L",),
-    **{f"corner_{c.lower()}": ("L",) for c in topology.CORNERS},
     "er_embedded": ("n", "alpha"),
 }
 

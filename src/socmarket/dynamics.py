@@ -41,6 +41,7 @@ import numpy as np
 from . import _kernel
 from .errors import ConsistencyError, MarketDomainError
 from .market import evaluate_market
+from .topology import coordinates
 
 
 @dataclass(frozen=True)
@@ -315,7 +316,9 @@ class RunRecord:
     Arrays cover steps [start_step, start_step + len).  Statistics should
     use the post-transient window (helpers below).  config_hash names the
     experiment config the run came from, when known; it round-trips
-    through the text format.
+    through the text format.  The loser's positions are not stored: they
+    follow from loser_index and extents (topology.coordinates), and the
+    text format writes them as the pos_x (and pos_y) columns.
     """
     n_agents: int
     extents: tuple
@@ -324,7 +327,6 @@ class RunRecord:
     min_profit: np.ndarray
     mean_price: np.ndarray
     renorm_flags: np.ndarray
-    embedding: np.ndarray
     kind: str = "custom"
     config: Optional[SimConfig] = None
     activity: Optional[np.ndarray] = None
@@ -338,8 +340,8 @@ class RunRecord:
 
     @property
     def positions(self):
-        """Embedding coordinates of the loser at each step."""
-        return self.embedding[self.loser_index]
+        """Coordinates of the loser at each step (topology.coordinates)."""
+        return coordinates(self.loser_index, self.extents)
 
     def post(self, arr):
         """Slice a per-step array down to the post-transient window."""
@@ -363,8 +365,7 @@ class RunRecord:
             min_profit=np.concatenate([self.min_profit, other.min_profit]),
             mean_price=np.concatenate([self.mean_price, other.mean_price]),
             renorm_flags=np.concatenate([self.renorm_flags, other.renorm_flags]),
-            embedding=self.embedding, config=self.config,
-            activity=join(self.activity, other.activity),
+            config=self.config, activity=join(self.activity, other.activity),
             activity_f0=self.activity_f0, start_step=self.start_step,
             config_hash=self.config_hash)
 
@@ -377,7 +378,7 @@ class RunRecord:
         if self.activity is not None and self.activity.ndim != 1:
             raise ValueError("the text format holds one activity column; "
                              "a grid of thresholds cannot be saved")
-        dim = 1 if self.embedding.ndim == 1 else self.embedding.shape[1]
+        dim = len(self.extents)
         pos_cols = ["pos_x"] if dim == 1 else ["pos_x", "pos_y"]
         cols = ["t", "loser_idx"] + pos_cols + ["min_profit", "mean_price", "renorm_flag"]
         if self.activity is not None:
@@ -402,7 +403,7 @@ class RunRecord:
             n = len(self.loser_index)
             for a in range(0, n, self._WRITE_ROWS):
                 b = min(a + self._WRITE_ROWS, n)
-                pos = self.embedding[self.loser_index[a:b]].reshape(b - a, dim)
+                pos = coordinates(self.loser_index[a:b], self.extents).reshape(b - a, dim)
                 columns = [range(self.start_step + a, self.start_step + b),
                            self.loser_index[a:b].tolist(), *pos.T.tolist(),
                            self.min_profit[a:b].tolist(), self.mean_price[a:b].tolist(),
@@ -429,15 +430,7 @@ class RunRecord:
                     header = line.split()
                     break
             data = np.loadtxt(fh, ndmin=2)
-        n_agents = int(meta["n_agents"][0])
-        extents = tuple(int(v) for v in meta["extents"])
         col = {name: k for k, name in enumerate(header)}
-        if len(extents) == 1:
-            embedding = np.arange(n_agents)
-        else:
-            L = extents[0]
-            ids = np.arange(n_agents)
-            embedding = np.stack([ids % L, ids // L], axis=1)
         activity = None
         if "activity" in col:
             activity = data[:, col["activity"]].astype(np.int32)
@@ -453,7 +446,8 @@ class RunRecord:
                 total_steps=int(fields["total_steps"]),
                 transient_steps=int(meta["transient_steps"][0]))
         return cls(
-            n_agents=n_agents, extents=extents,
+            n_agents=int(meta["n_agents"][0]),
+            extents=tuple(int(v) for v in meta["extents"]),
             kind=meta.get("kind", ["custom"])[0],
             config=config,
             transient_steps=int(meta["transient_steps"][0]),
@@ -461,7 +455,7 @@ class RunRecord:
             min_profit=data[:, col["min_profit"]],
             mean_price=data[:, col["mean_price"]],
             renorm_flags=data[:, col["renorm_flag"]].astype(bool),
-            embedding=embedding, activity=activity, activity_f0=f0,
+            activity=activity, activity_f0=f0,
             start_step=int(meta.get("start_step", ["0"])[0]),
             config_hash=meta.get("config_hash", [None])[0])
 
@@ -574,7 +568,7 @@ class Simulation:
             kind=self.net.kind,
             transient_steps=cfg.transient_steps, loser_index=loser_idx,
             min_profit=min_profit, mean_price=mean_price, renorm_flags=renorm,
-            embedding=self.net.embedding, config=cfg, activity=activity,
+            config=cfg, activity=activity,
             activity_f0=activity_f0, start_step=start)
 
     def _advance(self, count, activity_f0=None, audit_interval=0,

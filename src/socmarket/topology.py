@@ -1,10 +1,10 @@
 """Directed trade networks and expenditure weights.
 
 Agents sit on a directed graph: an edge j -> i means j is a supplier of i
-(i buys from j).  Supplier lists are the primary data; customer lists are
-always the exact transpose.  Every network carries a spatial embedding
-(1D index, or (x, y) lattice coordinate) with periodic extents, which the
-loser-walk statistics use to measure jump distances.
+(i buys from j).  A network is its supplier CSR arrays, their transpose
+(the customers), and the periodic extents of the line or lattice its
+agents sit on; `coordinates` maps agent ids to positions from the extents
+alone, which the loser-walk statistics use to measure jump distances.
 """
 
 from __future__ import annotations
@@ -26,13 +26,14 @@ _DIR_PRECEDENCE = "RTLB"
 CORNERS = ("RT", "LT", "LB", "RB")
 
 
-def _split_rows(flat, ptr):
-    """flat[ptr[i]:ptr[i + 1]] for every i, as lists of Python ints."""
-    widths = np.diff(ptr)
-    if widths.size and np.all(widths == widths[0]):
-        return flat.reshape(widths.size, widths[0]).tolist()
-    values, bounds = flat.tolist(), ptr.tolist()
-    return [values[a:b] for a, b in zip(bounds, bounds[1:])]
+def coordinates(ids, extents):
+    """Positions of agent ids: the id itself on a line (one extent), and
+    (x, y) = (id % L, id // L), stacked last, on a lattice of extents (L, L)."""
+    ids = np.asarray(ids)
+    if len(extents) == 1:
+        return ids
+    L = extents[0]
+    return np.stack([ids % L, ids // L], axis=-1)
 
 
 def _first(mask):
@@ -41,7 +42,7 @@ def _first(mask):
 
 
 class TradeNetwork:
-    """Directed supplier/customer graph with spatial embedding.
+    """Directed supplier/customer graph on a periodic line or lattice.
 
     Treated as immutable after construction; safe to share read-only.
 
@@ -54,23 +55,26 @@ class TradeNetwork:
     Attributes
     ----------
     n_agents : int
-    suppliers : list of lists, suppliers[i] = ordered supplier indices of i
-    customers : list of lists, exact transpose of suppliers, ascending
-    sup_ptr, sup_idx : int64 CSR arrays of suppliers, by edge id
-    in_ptr, in_idx   : int64 CSR arrays of the transpose, in_idx[in_ptr[j]:
-                       in_ptr[j + 1]] = supplier-edge ids of customers[j]
-    embedding : (N,) or (N, 2) int array of agent coordinates
-    extents   : tuple of periodic linear sizes, one per embedding dimension
-    kind      : one of NETWORK_KINDS
+    sup_ptr, sup_idx : int64 CSR arrays of suppliers, by edge id: agent i's
+                       ordered suppliers are sup_idx[sup_ptr[i]:sup_ptr[i + 1]]
+    row_agent        : int64 buying agent of each edge
+    in_ptr, in_idx   : int64 CSR arrays of the transpose: the customers of j
+                       are row_agent[in_idx[in_ptr[j]:in_ptr[j + 1]]],
+                       ascending, and in_idx holds their supplier-edge ids
+    extents : tuple of periodic linear sizes, (N,) or (L, L); agent
+              positions are coordinates(ids, extents)
+    kind    : one of NETWORK_KINDS
     """
 
-    def __init__(self, suppliers, embedding, extents, kind):
+    def __init__(self, suppliers, extents, kind):
         if kind not in NETWORK_KINDS:
             raise TopologyError(f"unknown network kind {kind!r}")
         n = len(suppliers)
         self.n_agents = n
-        self.embedding = np.asarray(embedding, dtype=np.int64)
         self.extents = tuple(int(e) for e in extents)
+        if len(self.extents) not in (1, 2) or np.prod(self.extents) != n:
+            raise TopologyError(f"extents {self.extents} do not hold {n} agents "
+                                f"on a line or a lattice")
         self.kind = kind
 
         # CSR over supplier edges; edge e belongs to row row_agent[e]
@@ -100,21 +104,20 @@ class TradeNetwork:
         e = _first(pairs[1:] == pairs[:-1])
         if e is not None:
             raise TopologyError(f"agent {pairs[e] // n} has duplicate suppliers")
-        self.suppliers = _split_rows(self.sup_idx, self.sup_ptr)
 
         # transpose; edges are stored by ascending row, so a stable sort on
         # the supplier keeps each good's customers ascending
         self.in_idx = np.argsort(self.sup_idx, kind="stable").astype(np.int64, copy=False)
         self.in_ptr = np.concatenate(([0], np.cumsum(np.bincount(self.sup_idx, minlength=n))))
-        self.customers = _split_rows(self.row_agent[self.in_idx], self.in_ptr)
 
     @property
     def n_edges(self):
         return int(self.sup_ptr[-1])
 
-    def degree(self, i):
-        """Number of suppliers of agent i."""
-        return len(self.suppliers[i])
+    @property
+    def suppliers(self):
+        """Each agent's ordered supplier ids, as views into sup_idx."""
+        return np.split(self.sup_idx, self.sup_ptr[1:-1])
 
     def __repr__(self):
         return (f"TradeNetwork(kind={self.kind!r}, n_agents={self.n_agents}, "
@@ -143,7 +146,8 @@ class ExpenditureMatrix:
         self.scheme = scheme
 
     def row(self, i):
-        """Weights of agent i, aligned with net.suppliers[i]."""
+        """Weights of agent i, aligned with its suppliers
+        net.sup_idx[net.sup_ptr[i]:net.sup_ptr[i + 1]]."""
         return self.weights_flat[self.net.sup_ptr[i]:self.net.sup_ptr[i + 1]]
 
     def __repr__(self):
@@ -159,17 +163,15 @@ def build_ring(n_agents):
     if n < 3:
         raise TopologyError(f"ring needs at least 3 agents, got {n}")
     i = np.arange(n)
-    return TradeNetwork(np.stack([(i - 1) % n, (i + 1) % n], axis=1),
-                        i, (n,), "ring")
+    return TradeNetwork(np.stack([(i - 1) % n, (i + 1) % n], axis=1), (n,), "ring")
 
 
 def _lattice(L, steps, kind):
     """L x L periodic lattice, agent id = x + y*L.  steps[k] is the (dx, dy)
     offset of every agent's k-th supplier, as scalars or per-agent arrays."""
-    ids = np.arange(L * L)
-    x, y = ids % L, ids // L
+    x, y = coordinates(np.arange(L * L), (L, L)).T
     rows = np.stack([(x + dx) % L + ((y + dy) % L) * L for dx, dy in steps], axis=1)
-    return TradeNetwork(rows, np.stack([x, y], axis=1), (L, L), kind)
+    return TradeNetwork(rows, (L, L), kind)
 
 
 def _corner_steps(corner):
@@ -180,8 +182,8 @@ def _corner_steps(corner):
 def _tiled_steps(L, tile):
     """Per-agent supplier offsets from a 2x2 tile of offset pairs, where
     tile[y % 2][x % 2] lists the two (dx, dy) of the agent at (x, y)."""
-    ids = np.arange(L * L)
-    offsets = np.asarray(tile)[(ids // L) % 2, (ids % L) % 2]  # (N, supplier, dx/dy)
+    x, y = coordinates(np.arange(L * L), (L, L)).T
+    offsets = np.asarray(tile)[y % 2, x % 2]  # (N, supplier, dx/dy)
     return [(offsets[:, k, 0], offsets[:, k, 1]) for k in range(2)]
 
 
@@ -243,11 +245,10 @@ def build_er_embedded(n_agents, alpha, rng):
         j = int(rng.integers(n - 1))
         mat[i, j + (j >= i)] = True  # skip self
     ptr = np.concatenate(([0], np.cumsum(mat.sum(axis=1))))
-    return TradeNetwork(_split_rows(np.nonzero(mat)[1], ptr),
-                        np.arange(n), (n,), "er_embedded")
+    return TradeNetwork(np.split(np.nonzero(mat)[1], ptr[1:-1]), (n,), "er_embedded")
 
 
-def build_network(kind, *, n=None, L=None, alpha=None, corner=None, rng=None):
+def build_network(kind, *, n=None, L=None, alpha=None, rng=None):
     """Dispatch to a builder from a kind tag and keyword parameters."""
     if kind == "ring":
         return build_ring(n)

@@ -21,12 +21,24 @@ def random_instance(rng, kind=None):
     else:
         net = sm.build_er_embedded(int(rng.integers(10, 60)),
                                    float(rng.uniform(0.03, 0.3)), rng)
-    if all(net.degree(i) == 2 for i in range(net.n_agents)) and rng.random() < 0.5:
+    if np.all(np.diff(net.sup_ptr) == 2) and rng.random() < 0.5:
         wts = sm.assign_weights_fixed(net, float(rng.uniform(0.05, 0.95)))
     else:
         wts = sm.assign_weights_uniform(net, rng)
     prices = 10.0 + rng.random(net.n_agents)
     return net, wts, prices
+
+
+def supplier_rows(net):
+    """Each agent's ordered suppliers, as lists."""
+    return [row.tolist() for row in net.suppliers]
+
+
+def customer_rows(net):
+    """Each agent's customers (the transpose, ascending), as lists, read
+    through in_ptr, in_idx and row_agent."""
+    customers = net.row_agent[net.in_idx]
+    return [row.tolist() for row in np.split(customers, net.in_ptr[1:-1])]
 
 
 @pytest.fixture

@@ -227,16 +227,11 @@ class TestLineFit:
 def _record_from_positions(ids, extents, kind="corner_rt", transient=0):
     n = int(np.prod(extents))
     ids = np.asarray(ids, dtype=np.int64)
-    if len(extents) == 1:
-        emb = np.arange(n)
-    else:
-        L = extents[0]
-        emb = np.stack([np.arange(n) % L, np.arange(n) // L], axis=1)
     T = len(ids)
     return sm.RunRecord(
         n_agents=n, extents=tuple(extents), transient_steps=transient,
         loser_index=ids, min_profit=np.zeros(T), mean_price=np.ones(T),
-        renorm_flags=np.zeros(T, dtype=bool), embedding=emb, kind=kind)
+        renorm_flags=np.zeros(T, dtype=bool), kind=kind)
 
 
 class TestJumpDistances:

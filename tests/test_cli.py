@@ -131,6 +131,14 @@ class TestConfigParsing:
         assert err.startswith("config error:") and f"needs {key}" in err
         assert not out.exists()
 
+    def test_corner_is_the_one_spelling_of_a_corner_lattice(self, tmp_path, capsys):
+        # kind = corner with corner = LT; corner_lt is not a second name
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.ini", "[topology]\nkind = corner_lt\nL = 4\n")
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: unknown network kind 'corner_lt'\n"
+        assert not out.exists()
+
     def test_inverted_duration_window(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini",
                            "[topology]\nkind = ring\nn = 10\n"

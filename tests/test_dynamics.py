@@ -6,7 +6,7 @@ import pytest
 import socmarket as sm
 from socmarket.errors import ConsistencyError, MarketDomainError
 
-from conftest import random_instance
+from conftest import customer_rows, random_instance, supplier_rows
 
 
 def small_setup(seed=3, n=12):
@@ -118,10 +118,11 @@ class TestAffectedSets:
         net = sm.build_er_embedded(40, 0.08, rng)
         c = 7
         sets = sm.affected_sets(net, c)
-        prod = {c, *net.customers[c]}
-        dem = {j for i in prod for j in net.suppliers[i]}
+        sup, cust = supplier_rows(net), customer_rows(net)
+        prod = {c, *cust[c]}
+        dem = {j for i in prod for j in sup[i]}
         traded = prod | dem
-        profit = traded | {i for j in traded for i in net.customers[j]}
+        profit = traded | {i for j in traded for i in cust[j]}
         assert set(sets.production) == prod
         assert set(sets.demand) == dem
         assert set(sets.traded) == traded
@@ -142,7 +143,7 @@ class TestAffectedSets:
         lambda: sm.build_er_embedded(60, 0.02, np.random.default_rng(6)),
         lambda: sm.build_er_embedded(60, 0.01, np.random.default_rng(4)),
         lambda: sm.TradeNetwork([[1], [0, 2, 3], [3], [0, 1, 2, 4], [0], [3, 4]],
-                                np.arange(6), (6,), "custom"),
+                                (6,), "custom"),
     ], ids=["ring", "ring3", "corner_rt", "corner_lt", "corner_lb", "corner_rb",
             "manhattan", "f_lattice", "er_dense", "er_sparse", "er_repaired",
             "custom_mixed_degree"])
@@ -151,7 +152,7 @@ class TestAffectedSets:
         # dependency chain spelled out as loops over the supplier and
         # customer lists
         net = build()
-        sup, cust = net.suppliers, net.customers
+        sup, cust = supplier_rows(net), customer_rows(net)
         ptr, agents = sm.dynamics.update_plan(net, np.arange(net.n_agents))
         assert len(ptr) == 4 * net.n_agents + 1 and ptr[-1] == len(agents)
         for c in range(net.n_agents):
@@ -865,8 +866,7 @@ class TestRecordSerialization:
             loser_index=rng.integers(0, net.n_agents, n).astype(np.int32),
             min_profit=rng.normal(size=n) * 1e-3,
             mean_price=rng.random(n) * 1e-5,
-            renorm_flags=rng.random(n) < 0.1, embedding=net.embedding,
-            kind=net.kind, start_step=777,
+            renorm_flags=rng.random(n) < 0.1, kind=net.kind, start_step=777,
             activity=rng.integers(0, 60, n).astype(np.int32) if with_activity else None,
             activity_f0=-0.004 if with_activity else None)
         path = tmp_path / "run.txt"

@@ -4,7 +4,7 @@ import pytest
 import socmarket as sm
 from socmarket.errors import MarketDomainError
 
-from conftest import random_instance
+from conftest import customer_rows, random_instance, supplier_rows
 
 
 def brute_force_snapshot(prices, suppliers, weights):
@@ -48,7 +48,7 @@ def production(prices, net, wts):
 
 class TestProduction:
     def test_single_supplier_unit(self):
-        net = sm.TradeNetwork([[1], [0]], np.arange(2), (2,), "custom")
+        net = sm.TradeNetwork([[1], [0]], (2,), "custom")
         wts = sm.ExpenditureMatrix(net, np.ones(2), "fixed")
         p = np.array([3.0, 3.0])
         assert production(p, net, wts)[0] == pytest.approx(1.0)
@@ -90,14 +90,15 @@ class TestProduction:
         for _ in range(20):
             net, wts, prices = random_instance(rng)
             j = int(rng.integers(net.n_agents))
-            if not net.customers[j]:
+            customers = customer_rows(net)[j]
+            if not customers:
                 continue
             cheaper = prices.copy()
             cheaper[j] *= 0.9
             before = production(prices, net, wts)
             after = production(cheaper, net, wts)
-            for i in net.customers[j]:
-                w = wts.row(i)[net.suppliers[i].index(j)]
+            for i in customers:
+                w = wts.row(i)[net.suppliers[i].tolist().index(j)]
                 if w > 0:
                     assert after[i] > before[i]
 
@@ -109,7 +110,7 @@ class TestWants:
         assert w == pytest.approx(np.full(net.n_edges, 2.0 ** (-2.0 / 3.0)), abs=1e-12)
 
     def test_zero_weight_edge(self):
-        net = sm.TradeNetwork([[1, 2], [0, 2], [0, 1]], np.arange(3), (3,), "custom")
+        net = sm.TradeNetwork([[1, 2], [0, 2], [0, 1]], (3,), "custom")
         wts = sm.ExpenditureMatrix(net, np.array([0.0, 1.0, 0.5, 0.5, 1.0, 0.0]),
                                    "custom")
         p = np.array([7.0, 9.0, 11.0])
@@ -142,7 +143,7 @@ class TestDemandTradeShares:
         assert snap.demand == pytest.approx(snap.production, abs=1e-12)
 
     def test_agent_without_customers(self):
-        net = sm.TradeNetwork([[1], [0], [0]], np.arange(3), (3,), "custom")
+        net = sm.TradeNetwork([[1], [0], [0]], (3,), "custom")
         wts = sm.ExpenditureMatrix(net, np.ones(3), "custom")
         snap = sm.evaluate_market(np.array([5.0, 6.0, 7.0]), net, wts)
         assert snap.demand[2] == 0.0
@@ -160,7 +161,7 @@ class TestDemandTradeShares:
         assert snap.shares == pytest.approx(np.full(net.n_edges, 0.5), abs=1e-12)
 
     def test_single_customer_share_is_one(self):
-        net = sm.TradeNetwork([[1], [0]], np.arange(2), (2,), "custom")
+        net = sm.TradeNetwork([[1], [0]], (2,), "custom")
         wts = sm.ExpenditureMatrix(net, np.ones(2), "custom")
         snap = sm.evaluate_market(np.array([5.0, 8.0]), net, wts)
         assert snap.shares == pytest.approx([1.0, 1.0])
@@ -168,7 +169,7 @@ class TestDemandTradeShares:
     def test_zero_demand_share_is_zero(self):
         # agent 2 is wanted by nobody (its only inbound edge has weight 0),
         # so the share on that edge is zero by definition
-        net = sm.TradeNetwork([[1, 2], [0], [0]], np.arange(3), (3,), "custom")
+        net = sm.TradeNetwork([[1, 2], [0], [0]], (3,), "custom")
         wts = sm.ExpenditureMatrix(net, np.array([1.0, 0.0, 1.0, 1.0]), "custom")
         snap = sm.evaluate_market(np.array([5.0, 6.0, 7.0]), net, wts)
         assert snap.demand[2] == 0.0
@@ -200,7 +201,7 @@ class TestProfits:
 
     def test_three_agent_cycle_against_oracle(self):
         suppliers = [[2], [0], [1]]
-        net = sm.TradeNetwork(suppliers, np.arange(3), (3,), "custom")
+        net = sm.TradeNetwork(suppliers, (3,), "custom")
         wts = sm.ExpenditureMatrix(net, np.ones(3), "custom")
         prices = np.array([10.0, 10.5, 11.0])
         snap = sm.evaluate_market(prices, net, wts)
@@ -214,7 +215,7 @@ class TestProfits:
             weights = [wts.row(i).tolist() for i in range(net.n_agents)]
             snap = sm.evaluate_market(prices, net, wts)
             production, _, demand, traded, profit = brute_force_snapshot(
-                prices, net.suppliers, weights)
+                prices, supplier_rows(net), weights)
             assert snap.production == pytest.approx(production, rel=1e-10)
             assert snap.demand == pytest.approx(demand, rel=1e-10, abs=1e-12)
             assert snap.traded == pytest.approx(traded, rel=1e-10, abs=1e-12)
@@ -242,9 +243,8 @@ class TestEvaluateMarket:
         n = net.n_agents
         perm = rng.permutation(n)
         inv = np.argsort(perm)
-        suppliers2 = [[int(perm[j]) for j in net.suppliers[int(inv[k])]]
-                      for k in range(n)]
-        net2 = sm.TradeNetwork(suppliers2, np.arange(n), (n,), "custom")
+        suppliers2 = [perm[net.suppliers[int(inv[k])]].tolist() for k in range(n)]
+        net2 = sm.TradeNetwork(suppliers2, (n,), "custom")
         w2 = np.concatenate([wts.row(int(inv[k])) for k in range(n)])
         wts2 = sm.ExpenditureMatrix(net2, w2, "custom")
         snap = sm.evaluate_market(prices, net, wts)

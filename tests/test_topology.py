@@ -3,19 +3,25 @@ import pytest
 
 import socmarket as sm
 from socmarket.errors import TopologyError
+from socmarket.topology import coordinates
 
-from conftest import random_instance
+from conftest import customer_rows, random_instance, supplier_rows
+
+
+def _coords(net, ids):
+    """Lattice coordinates of agent ids on net, as (x, y) tuples."""
+    return [tuple(c) for c in coordinates(np.asarray(ids), net.extents).tolist()]
 
 
 class TestRing:
     def test_smallest_ring_wraps(self):
         net = sm.build_ring(3)
-        assert net.suppliers[0] == [2, 1]
+        assert net.suppliers[0].tolist() == [2, 1]
 
     def test_ring_is_its_own_transpose(self):
         net = sm.build_ring(5)
-        assert net.suppliers[2] == [1, 3]
-        assert net.customers[2] == [1, 3]
+        assert net.suppliers[2].tolist() == [1, 3]
+        assert customer_rows(net)[2] == [1, 3]
 
     def test_below_minimum_size(self):
         with pytest.raises(TopologyError):
@@ -24,28 +30,27 @@ class TestRing:
     def test_embedding_is_index(self):
         net = sm.build_ring(7)
         assert net.extents == (7,)
-        assert np.array_equal(net.embedding, np.arange(7))
+        assert np.array_equal(coordinates(np.arange(7), net.extents), np.arange(7))
 
 
 class TestCornerLattice:
     def test_rt_origin(self):
         net = sm.build_corner_lattice(3, "RT")
-        coords = [tuple(net.embedding[j]) for j in net.suppliers[0]]
-        assert coords == [(1, 0), (0, 1)]
+        assert _coords(net, net.suppliers[0]) == [(1, 0), (0, 1)]
 
     def test_lb_wraps(self):
         net = sm.build_corner_lattice(3, "LB")
-        coords = [tuple(net.embedding[j]) for j in net.suppliers[0]]
-        assert coords == [(2, 0), (0, 2)]
+        assert _coords(net, net.suppliers[0]) == [(2, 0), (0, 2)]
 
     def test_rt_customers_are_left_and_bottom(self):
         L = 3
         net = sm.build_corner_lattice(L, "RT")
+        customers = customer_rows(net)
         for i in range(net.n_agents):
-            x, y = net.embedding[i]
+            x, y = coordinates(i, net.extents)
             expect = {((x - 1) % L) + y * L, x + ((y - 1) % L) * L}
-            assert set(net.customers[i]) == expect
-            assert len(net.customers[i]) == 2
+            assert set(customers[i]) == expect
+            assert len(customers[i]) == 2
 
     def test_too_small(self):
         with pytest.raises(TopologyError):
@@ -64,14 +69,14 @@ class TestCornerLattice:
         L = 5
         off = {"R": (1, 0), "T": (0, 1), "L": (-1, 0), "B": (0, -1)}
         for i in (0, 7, 24):
-            x, y = net.embedding[i]
+            x, y = coordinates(i, net.extents)
             expect = [((x + off[d][0]) % L) + ((y + off[d][1]) % L) * L for d in dirs]
-            assert net.suppliers[i] == expect
+            assert net.suppliers[i].tolist() == expect
 
 
 def _corner_type(net, i, L):
-    x, y = net.embedding[i]
-    sup = {tuple(net.embedding[j]) for j in net.suppliers[i]}
+    x, y = coordinates(i, net.extents)
+    sup = set(_coords(net, net.suppliers[i]))
     got = []
     for d, (dx, dy) in (("R", (1, 0)), ("T", (0, 1)), ("L", (-1, 0)), ("B", (0, -1))):
         if ((x + dx) % L, (y + dy) % L) in sup:
@@ -99,8 +104,8 @@ class TestManhattan:
 
     def test_degrees(self):
         net = sm.build_manhattan(4)
-        assert all(len(s) == 2 for s in net.suppliers)
-        assert all(len(c) == 2 for c in net.customers)
+        assert all(len(s) == 2 for s in supplier_rows(net))
+        assert all(len(c) == 2 for c in customer_rows(net))
 
     @pytest.mark.parametrize("L", [5, 3, 2])
     def test_parity_and_size(self, L):
@@ -111,19 +116,17 @@ class TestManhattan:
 class TestFLattice:
     def test_even_parity_buys_left_right(self):
         net = sm.build_f_lattice(4)
-        coords = [tuple(net.embedding[j]) for j in net.suppliers[0]]
-        assert coords == [(3, 0), (1, 0)]
+        assert _coords(net, net.suppliers[0]) == [(3, 0), (1, 0)]
 
     def test_odd_parity_buys_top_bottom(self):
         net = sm.build_f_lattice(4)
         agent = 1  # (1, 0), odd parity
-        coords = [tuple(net.embedding[j]) for j in net.suppliers[agent]]
-        assert coords == [(1, 1), (1, 3)]
+        assert _coords(net, net.suppliers[agent]) == [(1, 1), (1, 3)]
 
     def test_degrees(self):
         net = sm.build_f_lattice(4)
-        assert all(len(s) == 2 for s in net.suppliers)
-        assert all(len(c) == 2 for c in net.customers)
+        assert all(len(s) == 2 for s in supplier_rows(net))
+        assert all(len(c) == 2 for c in customer_rows(net))
 
     def test_odd_size_rejected(self):
         with pytest.raises(TopologyError):
@@ -133,7 +136,7 @@ class TestFLattice:
 class TestErEmbedded:
     def test_tiny_alpha_leaves_only_repairs(self):
         net = sm.build_er_embedded(30, 1e-12, np.random.default_rng(0))
-        assert all(len(s) == 1 for s in net.suppliers)
+        assert all(len(s) == 1 for s in supplier_rows(net))
 
     def test_mean_degree_tracks_n_alpha(self):
         # <K> = N*alpha; N=100, alpha=0.05 -> about 5, averaged over seeds
@@ -147,7 +150,7 @@ class TestErEmbedded:
     def test_same_seed_same_edges(self):
         a = sm.build_er_embedded(50, 0.1, np.random.default_rng(42))
         b = sm.build_er_embedded(50, 0.1, np.random.default_rng(42))
-        assert a.suppliers == b.suppliers
+        assert supplier_rows(a) == supplier_rows(b)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5])
     def test_alpha_bounds(self, alpha):
@@ -163,36 +166,38 @@ class TestErEmbedded:
         np.fill_diagonal(mat, False)
         net = sm.build_er_embedded(n, alpha, np.random.default_rng(seed))
         for i in range(n):
-            drawn = list(np.flatnonzero(mat[i]))
+            drawn = np.flatnonzero(mat[i]).tolist()
+            row = net.suppliers[i].tolist()
             if drawn:
-                assert net.suppliers[i] == drawn
+                assert row == drawn
             else:
-                assert len(net.suppliers[i]) == 1
-                assert net.suppliers[i][0] != i
+                assert len(row) == 1
+                assert row[0] != i
 
 
 class TestInvariants:
     def test_transpose_consistency_and_degree_bookkeeping(self, rng):
         for _ in range(25):
             net, _, _ = random_instance(rng)
+            suppliers, customers = supplier_rows(net), customer_rows(net)
             rebuilt = [[] for _ in range(net.n_agents)]
-            for i, row in enumerate(net.suppliers):
+            for i, row in enumerate(suppliers):
                 for j in row:
                     rebuilt[j].append(i)
-            assert rebuilt == net.customers
-            assert sum(map(len, net.suppliers)) == net.n_edges
-            assert sum(map(len, net.customers)) == net.n_edges
+            assert rebuilt == customers
+            assert sum(map(len, suppliers)) == net.n_edges
+            assert sum(map(len, customers)) == net.n_edges
 
     def test_lattice_regularity(self):
         nets = [sm.build_corner_lattice(4, c) for c in ("RT", "LT", "LB", "RB")]
         nets += [sm.build_manhattan(4), sm.build_f_lattice(4)]
         for net in nets:
-            assert all(len(s) == 2 for s in net.suppliers)
-            assert all(len(c) == 2 for c in net.customers)
+            assert all(len(s) == 2 for s in supplier_rows(net))
+            assert all(len(c) == 2 for c in customer_rows(net))
 
     def test_no_self_edges_rejected(self):
         with pytest.raises(TopologyError):
-            sm.TradeNetwork([[0], [0]], np.arange(2), (2,), "custom")
+            sm.TradeNetwork([[0], [0]], (2,), "custom")
 
     # a valid 5-ring with agents 2 and 4 broken the same way: the error
     # names the lowest offending agent
@@ -207,7 +212,13 @@ class TestInvariants:
         rows = [[4, 1], [0, 2], bad_row, [2, 4], [3, 0]]
         rows[4] = [4 if j == 2 else j for j in bad_row]
         with pytest.raises(TopologyError, match=f"^{message}$"):
-            sm.TradeNetwork(rows, np.arange(5), (5,), "custom")
+            sm.TradeNetwork(rows, (5,), "custom")
+
+    @pytest.mark.parametrize("extents", [(3,), (2, 2), (1, 1, 2), ()],
+                             ids=["line", "lattice", "three_dims", "none"])
+    def test_extents_must_hold_the_agents(self, extents):
+        with pytest.raises(TopologyError, match="do not hold 2 agents"):
+            sm.TradeNetwork([[1], [0]], extents, "custom")
 
     @pytest.mark.parametrize("build", [
         lambda: sm.build_ring(7),
@@ -226,12 +237,12 @@ class TestInvariants:
         customers = [[] for _ in range(net.n_agents)]
         in_edges = [[] for _ in range(net.n_agents)]
         e = 0
-        for i, row in enumerate(net.suppliers):
+        for i, row in enumerate(supplier_rows(net)):
             for j in row:
                 customers[j].append(i)
                 in_edges[j].append(e)
                 e += 1
-        assert net.customers == customers
+        assert customer_rows(net) == customers
         for j in range(net.n_agents):
             assert net.in_idx[net.in_ptr[j]:net.in_ptr[j + 1]].tolist() == in_edges[j]
         assert net.in_ptr[-1] == net.n_edges
@@ -256,7 +267,7 @@ class TestWeights:
 
     def test_fixed_split_needs_two_suppliers(self):
         net = sm.build_er_embedded(30, 0.2, np.random.default_rng(3))
-        assert any(len(s) != 2 for s in net.suppliers)
+        assert any(len(s) != 2 for s in supplier_rows(net))
         with pytest.raises(TopologyError):
             sm.assign_weights_fixed(net, 0.5)
 
