@@ -10,7 +10,7 @@ from conftest import customer_rows, random_instance, supplier_rows
 
 def _coords(net, ids):
     """Lattice coordinates of agent ids on net, as (x, y) tuples."""
-    return [tuple(c) for c in coordinates(np.asarray(ids), net.extents).tolist()]
+    return [tuple(c) for c in coordinates(ids, net.extents).tolist()]
 
 
 class TestRing:
