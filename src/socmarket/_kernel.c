@@ -8,10 +8,17 @@
  * the same bits.  Build it without contraction or reassociation of
  * floating-point operations (-ffp-contract=off, never -ffast-math): a fused
  * multiply-add would change the bits.
+ *
+ * The kernel also writes and parses run records: socm_write_rows formats
+ * a block of record rows as repr writes each value, and socm_read_rows
+ * reads a record's rows back as np.loadtxt does.  Where either declines,
+ * the caller uses repr or np.loadtxt.
  */
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 #define TWO_THIRDS (2.0 / 3.0) /* the same double as market.TWO_THIRDS */
 
@@ -261,4 +268,303 @@ int socm_advance(market *m, int from, int count, int renormed)
                 place(m, m->plan[k]);
     }
     return count;
+}
+
+/* ---------------------------------------------------------------------
+ * Run records: the text rows RunRecord.save_text writes and load_text
+ * reads, byte for byte and bit for bit as repr and np.loadtxt.
+ */
+
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+/* 10^k for k = 0 .. 22; m 10^22 < 2^127 for a 53-bit m */
+#define E19 ((u128)UINT64_C(10000000000000000000))
+static const u128 POW10[23] = {
+    1, 10, 100, 1000, 10000, 100000, 1000000, 10000000, 100000000,
+    1000000000, 10000000000, 100000000000, 1000000000000, 10000000000000,
+    100000000000000, 1000000000000000, 10000000000000000, 100000000000000000,
+    1000000000000000000, E19, E19 * 10, E19 * 100, E19 * 1000};
+#endif
+
+/* Write the digits of v, and return their count. */
+static int put_u64(char *out, uint64_t v)
+{
+    char tmp[20];
+    int n = 0, k;
+
+    do {
+        tmp[n++] = (char)('0' + v % 10);
+        v /= 10;
+    } while (v);
+    for (k = 0; k < n; k++)
+        out[k] = tmp[n - 1 - k];
+    return n;
+}
+
+static int put_i64(char *out, int64_t v)
+{
+    if (v < 0) {
+        out[0] = '-';
+        return 1 + put_u64(out + 1, (uint64_t)0 - (uint64_t)v);
+    }
+    return put_u64(out, (uint64_t)v);
+}
+
+#ifdef __SIZEOF_INT128__
+/* Whether N / 10^k reads back as x = m / 2^s, where scaled = m 10^k and
+ * p10 = 10^k: N 2^s lies within half a gap of m 10^k above it, and within
+ * half the gap below (a quarter when x is a power of two, whose lower
+ * neighbour lies nearer), with a tie reading as the even significand.
+ */
+static int reads_back(u128 n, u128 scaled, int s, u128 p10, int even, int pow2)
+{
+    u128 d = n << s, gap;
+
+    gap = d >= scaled ? 2 * (d - scaled) : (pow2 ? 4 : 2) * (scaled - d);
+    return gap < p10 || (gap == p10 && even);
+}
+
+/* The numerator N of the decimal N / 10^k nearest x = m / 2^s that reads
+ * back as x: round(m 10^k / 2^s), or the next above below a power of two;
+ * 0 if neither reads back.  *tie is set when m 10^k / 2^s lies halfway
+ * between two numerators. */
+static u128 nearest(uint64_t m, int s, int k, int pow2, int *tie)
+{
+    u128 p10 = POW10[k], scaled = (u128)m * p10, half = (u128)1 << (s - 1);
+    u128 n = (scaled + half) >> s;
+    int even = (m & 1) == 0;
+
+    *tie = (scaled & ((half << 1) - 1)) == half;
+    if (reads_back(n, scaled, s, p10, even, pow2))
+        return n;
+    if (pow2 && n << s < scaled && reads_back(n + 1, scaled, s, p10, even, pow2))
+        return n + 1;
+    return 0;
+}
+#endif
+
+/* Write x as repr writes it, and return the bytes written, or 0 where the
+ * fast path declines: x not finite, x nonzero with |x| outside
+ * [1e-4, 1e15) (where repr uses an exponent), or an exact rounding tie.
+ *
+ * repr writes the shortest decimal that reads back as x (Steele & White
+ * 1990, Gay 1990), and the nearest to x among those.  In this range that
+ * decimal has the fewest fraction digits k; with x = m / 2^s and m the
+ * 53-bit significand, the decimals with k fraction digits nearest x are
+ * N = round(m 10^k / 2^s) and, below a power of two whose lower gap is
+ * the smaller, N + 1.  Reading back is monotone in k, so k is found by
+ * bisection over [0, 22].
+ */
+static int put_double(char *out, double x)
+{
+#ifdef __SIZEOF_INT128__
+    uint64_t bits, m;
+    u128 n, best = 0;
+    double a = fabs(x);
+    int s, k, lo = 0, hi = 23, probe, len = 0, digits, pow2, tie, best_tie = 0;
+    char num[24];
+
+    if (x < 0 || (x == 0.0 && signbit(x)))
+        out[len++] = '-';
+    if (a == 0.0) {
+        memcpy(out + len, "0.0", 3);
+        return len + 3;
+    }
+    if (!(a >= 1e-4 && a < 1e15))
+        return 0;
+    memcpy(&bits, &x, sizeof bits);
+    m = bits & ((UINT64_C(1) << 52) - 1);
+    pow2 = m == 0;
+    m |= UINT64_C(1) << 52;
+    s = 1075 - (int)((bits >> 52) & 0x7ff); /* 3 <= s <= 67 in this range */
+    /* the least k that reads back lies in [lo, hi] (hi = 23: none known);
+       most doubles need 16 or 17 significant digits, so the first probe is
+       near 16 digits and the second one digit either side, before
+       bisection (any first k in [0, 22] finds the same least k) */
+    k = 15 - (52 - s) * 3 / 10;
+    for (probe = 0; lo < hi; probe++) {
+        if (k < lo || k >= hi)
+            k = (lo + hi) / 2;
+        n = nearest(m, s, k, pow2, &tie);
+        if (n) {
+            hi = k;
+            best = n;
+            best_tie = tie;
+        } else {
+            lo = k + 1;
+        }
+        k = probe > 0 ? (lo + hi) / 2 : n ? k - 1 : k + 1;
+    }
+    k = hi;
+    if (k > 22 || best_tie || best > UINT64_MAX)
+        return 0;
+    n = best;
+    digits = put_u64(num, (uint64_t)n);
+    if (k == 0) {
+        memcpy(out + len, num, (size_t)digits);
+        len += digits;
+        out[len++] = '.';
+        out[len++] = '0';
+    } else if (digits > k) {
+        memcpy(out + len, num, (size_t)(digits - k));
+        len += digits - k;
+        out[len++] = '.';
+        memcpy(out + len, num + digits - k, (size_t)k);
+        len += k;
+    } else {
+        out[len++] = '0';
+        out[len++] = '.';
+        memset(out + len, '0', (size_t)(k - digits));
+        len += k - digits;
+        memcpy(out + len, num, (size_t)digits);
+        len += digits;
+    }
+    return len;
+#else
+    (void)out;
+    (void)x;
+    return 0;
+#endif
+}
+
+/* Write rows 0 .. rows - 1 of ncols columns to out: fields separated by
+ * sep, each row ended by a newline.  Column j is the int64 array cols[j]
+ * where kinds[j] is 'i', written as an integer, and the double array
+ * cols[j] where kinds[j] is 'f', written as repr writes it.  out holds at
+ * least 21 bytes per integer field and 32 per double field.  Returns the
+ * bytes written, or -1 if the fast path declines a double (put_double).
+ */
+int64_t socm_write_rows(char *out, int64_t rows, int64_t ncols,
+                        const void *const *cols, const char *kinds, int sep)
+{
+    char *at = out;
+    int64_t i, j;
+
+    for (i = 0; i < rows; i++) {
+        for (j = 0; j < ncols; j++) {
+            if (kinds[j] == 'i') {
+                at += put_i64(at, ((const int64_t *)cols[j])[i]);
+            } else {
+                int len = put_double(at, ((const double *)cols[j])[i]);
+                if (len == 0)
+                    return -1;
+                at += len;
+            }
+            *at++ = (char)(j + 1 < ncols ? sep : '\n');
+        }
+    }
+    return at - out;
+}
+
+/* The double nearest n / 10^k, for n < 10^17 and k <= 22, into *value;
+ * returns 0 where it cannot tell.  (double)n / 10^k lies within about an
+ * ulp of n / 10^k, so the nearest double is that quotient or a neighbour,
+ * and the one n / 10^k reads back as (reads_back) is it.  It declines
+ * quotients outside [1e-4, 1e15), where 2^s would overflow the test.
+ */
+static int get_decimal(uint64_t n, int k, double *value)
+{
+#ifdef __SIZEOF_INT128__
+    static const double pow10[23] = {
+        1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12,
+        1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+    double x = (double)n / pow10[k];
+    uint64_t bits, m;
+    int d, s;
+
+    if (!(x >= 1e-4 && x < 1e15))
+        return 0;
+    memcpy(&bits, &x, sizeof bits);
+    for (d = 0; d < 3; d++) {
+        uint64_t b = d == 0 ? bits : d == 1 ? bits - 1 : bits + 1;
+        m = (b & ((UINT64_C(1) << 52) - 1)) | (UINT64_C(1) << 52);
+        s = 1075 - (int)((b >> 52) & 0x7ff);
+        if (s >= 3 && s <= 67
+            && reads_back(n, (u128)m * POW10[k], s, POW10[k], (m & 1) == 0,
+                          m == UINT64_C(1) << 52)) {
+            memcpy(value, &b, sizeof b);
+            return 1;
+        }
+    }
+#else
+    (void)n;
+    (void)k;
+    (void)value;
+#endif
+    return 0;
+}
+
+/* Read one field of a body at `at` into *value, as np.loadtxt reads it, and
+ * return the byte after it, or NULL if the field is not of the forms
+ * written by socm_write_rows or repr: an optional '-', then digits with an
+ * optional fraction of digits and an optional exponent, or 'nan', 'inf'
+ * or '-inf'.  Integers of up to 15 digits (below 2^53) are converted
+ * exactly, decimals of up to 17 digits without an exponent by
+ * get_decimal where it can, and everything else by strtod, whose rounding
+ * is correct as np.loadtxt's is.
+ */
+static const char *get_field(const char *at, const char *end, double *value)
+{
+    const char *p = at, *digits;
+    uint64_t v = 0;
+    int negative = *p == '-', count, k = 0;
+    char *stop;
+
+    p += negative;
+    if (end - p >= 3 && (memcmp(p, "inf", 3) == 0 || (!negative && memcmp(p, "nan", 3) == 0))) {
+        p += 3;
+    } else {
+        for (digits = p; p < end && *p >= '0' && *p <= '9'; p++)
+            v = v * 10 + (uint64_t)(*p - '0');
+        if (p == digits)
+            return NULL;
+        count = (int)(p - digits);
+        if (count <= 15 && (p == end || *p == ' ' || *p == '\n')) {
+            *value = negative ? -(double)v : (double)v;
+            return p;
+        }
+        if (p < end && *p == '.') {
+            for (digits = ++p; p < end && *p >= '0' && *p <= '9'; p++)
+                v = v * 10 + (uint64_t)(*p - '0');
+            if (p == digits)
+                return NULL;
+            k = (int)(p - digits);
+            count += k;
+        }
+        if (p < end && (*p == 'e' || *p == 'E')) {
+            p += p + 1 < end && (p[1] == '-' || p[1] == '+');
+            for (digits = ++p; p < end && *p >= '0' && *p <= '9'; p++)
+                ;
+            if (p == digits)
+                return NULL;
+        } else if (count <= 17 && k <= 22 && get_decimal(v, k, value)) {
+            if (negative)
+                *value = -*value;
+            return p;
+        }
+    }
+    *value = strtod(at, &stop);
+    return stop == p ? p : NULL;
+}
+
+/* Read a body of `rows` lines of ncols fields, each line ended by a
+ * newline and its fields separated by single spaces, into the row-major
+ * rows x ncols matrix out.  Returns 0, or -1 if the body is not of that
+ * form or holds a field get_field refuses.
+ */
+int socm_read_rows(const char *body, int64_t len, int64_t rows, int64_t ncols, double *out)
+{
+    const char *at = body, *end = body + len;
+    int64_t i, j;
+
+    for (i = 0; i < rows; i++) {
+        for (j = 0; j < ncols; j++) {
+            at = get_field(at, end, out++);
+            if (at == NULL || at == end || *at != (j + 1 < ncols ? ' ' : '\n'))
+                return -1;
+            at++;
+        }
+    }
+    return at == end ? 0 : -1;
 }

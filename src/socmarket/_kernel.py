@@ -1,5 +1,10 @@
 """Build and load the incremental engine's kernel, `_kernel.c`.
 
+The kernel also writes and parses the text rows of run records
+(socm_write_rows, socm_read_rows); dynamics.format_rows and
+RunRecord.load_text call them, and fall back to repr and np.loadtxt where
+the kernel cannot be built.
+
 The kernel is compiled on first use with the system C compiler and cached
 as `__pycache__/_kernel-<hash>.so` beside this file, where the hash covers
 the source, the compiler flags and the machine.  A library is written to a
@@ -89,6 +94,11 @@ def _open(path):
     # ctypes.byref(struct) and ints
     lib.socm_update.argtypes = None
     lib.socm_advance.argtypes = None
+    lib.socm_write_rows.argtypes = (ptr, ctypes.c_int64, ctypes.c_int64, ptr,
+                                    ctypes.c_char_p, ctypes.c_int)
+    lib.socm_write_rows.restype = ctypes.c_int64
+    lib.socm_read_rows.argtypes = (ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64,
+                                   ctypes.c_int64, ptr)
     return lib
 
 

@@ -212,12 +212,10 @@ def _fit_dict(fit):
 
 
 def _write_csv(path, header, columns, meta=""):
-    with open(path, "w") as fh:
-        if meta:
-            fh.write(f"# {meta}\n")
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    head = (f"# {meta}\n" if meta else "") + ",".join(header) + "\n"
+    with open(path, "wb") as fh:
+        fh.write(head.encode())
+        fh.write(dynamics.format_rows([np.asarray(c, dtype=np.float64) for c in columns], ","))
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,7 @@ within tolerance.
 from __future__ import annotations
 
 import ctypes
+import io
 import math
 import os
 import struct
@@ -309,6 +310,54 @@ class MarketEngine:
 # ----------------------------------------------------------------------
 # run records
 
+def _record_kernel():
+    """The kernel library for record text, or None where it cannot be built
+    (no C compiler): repr and np.loadtxt then do its work, with the same
+    bytes and bits."""
+    try:
+        return _kernel.load()
+    except (RuntimeError, OSError):
+        return None
+
+
+# bytes a field of each kind may take in the kernel's rows, separator included
+_FIELD_BYTES = {"i": 21, "f": 32}
+
+
+def format_rows(columns, sep=" "):
+    """The rows of equal-length integer or float numpy columns as text:
+    fields joined by sep, each written as repr writes it (a float as a
+    Python float), every row ended by a newline.  Returns a bytes-like
+    object.  The kernel writes it where its fast path takes every float
+    (socm_write_rows); repr writes it otherwise."""
+    lib = _record_kernel()
+    kinds = "".join("f" if c.dtype.kind == "f" else "i" for c in columns)
+    if lib is not None:
+        cols = [np.ascontiguousarray(c, dtype=np.float64 if kind == "f" else np.int64)
+                for c, kind in zip(columns, kinds)]
+        rows = len(cols[0])
+        out = np.empty(rows * sum(map(_FIELD_BYTES.get, kinds)), dtype=np.uint8)
+        ptrs = (ctypes.c_void_p * len(cols))(*(c.ctypes.data for c in cols))
+        size = lib.socm_write_rows(out.ctypes.data, rows, len(cols), ptrs,
+                                   kinds.encode(), ord(sep))
+        if size >= 0:
+            return out[:size]
+    rows = zip(*(map(repr, c.tolist()) for c in columns))
+    return ("\n".join(map(sep.join, rows)) + "\n").encode()
+
+
+def _parse_rows(body, ncols):
+    """The rows of a record body (bytes) as a float64 matrix, as
+    np.loadtxt(ndmin=2) reads them: by the kernel where it takes the body
+    (socm_read_rows), and by np.loadtxt, with its errors, otherwise."""
+    lib = _record_kernel()
+    if lib is not None and body.endswith(b"\n"):
+        data = np.empty((body.count(b"\n"), ncols))
+        if lib.socm_read_rows(body, len(body), data.shape[0], ncols, data.ctypes.data) == 0:
+            return data
+    return np.loadtxt(io.BytesIO(body), ndmin=2)
+
+
 @dataclass
 class RunRecord:
     """Per-step time series of one run.
@@ -383,53 +432,54 @@ class RunRecord:
         cols = ["t", "loser_idx"] + pos_cols + ["min_profit", "mean_price", "renorm_flag"]
         if self.activity is not None:
             cols.append("activity")
-        with open(path, "w") as fh:
-            fh.write("# soc-market-run v1\n")
-            fh.write(f"# n_agents {self.n_agents}\n")
-            fh.write(f"# kind {self.kind}\n")
-            fh.write("# extents " + " ".join(str(e) for e in self.extents) + "\n")
-            fh.write(f"# transient_steps {self.transient_steps}\n")
-            fh.write(f"# start_step {self.start_step}\n")
-            # float(): under numpy 2 a numpy scalar's repr does not read back
-            if self.activity_f0 is not None:
-                fh.write(f"# activity_f0 {float(self.activity_f0)!r}\n")
-            if self.config is not None:
-                c = self.config
-                fh.write(f"# config seed {c.seed} eta_max {float(c.eta_max)!r} "
-                         f"price_floor {float(c.price_floor)!r} total_steps {c.total_steps}\n")
-            if self.config_hash is not None:
-                fh.write(f"# config_hash {self.config_hash}\n")
-            fh.write(" ".join(cols) + "\n")
+        head = ["# soc-market-run v1",
+                f"# n_agents {self.n_agents}",
+                f"# kind {self.kind}",
+                "# extents " + " ".join(str(e) for e in self.extents),
+                f"# transient_steps {self.transient_steps}",
+                f"# start_step {self.start_step}"]
+        # float(): under numpy 2 a numpy scalar's repr does not read back
+        if self.activity_f0 is not None:
+            head.append(f"# activity_f0 {float(self.activity_f0)!r}")
+        if self.config is not None:
+            c = self.config
+            head.append(f"# config seed {c.seed} eta_max {float(c.eta_max)!r} "
+                        f"price_floor {float(c.price_floor)!r} total_steps {c.total_steps}")
+        if self.config_hash is not None:
+            head.append(f"# config_hash {self.config_hash}")
+        head.append(" ".join(cols))
+        with open(path, "wb") as fh:
+            fh.write(("\n".join(head) + "\n").encode())
             n = len(self.loser_index)
             for a in range(0, n, self._WRITE_ROWS):
                 b = min(a + self._WRITE_ROWS, n)
                 pos = coordinates(self.loser_index[a:b], self.extents).reshape(b - a, dim)
-                columns = [range(self.start_step + a, self.start_step + b),
-                           self.loser_index[a:b].tolist(), *pos.T.tolist(),
-                           self.min_profit[a:b].tolist(), self.mean_price[a:b].tolist(),
-                           self.renorm_flags[a:b].astype(np.uint8).tolist()]
+                columns = [np.arange(self.start_step + a, self.start_step + b),
+                           self.loser_index[a:b], *pos.T,
+                           self.min_profit[a:b], self.mean_price[a:b],
+                           self.renorm_flags[a:b].astype(np.uint8)]
                 if self.activity is not None:
-                    columns.append(self.activity[a:b].tolist())
-                rows = zip(*(map(repr, col) for col in columns))
-                fh.write("\n".join(map(" ".join, rows)) + "\n")
+                    columns.append(self.activity[a:b])
+                fh.write(format_rows(columns))
 
     @classmethod
     def load_text(cls, path):
         meta = {}
-        with open(path) as fh:
-            line = fh.readline()
+        with open(path, "rb") as fh:
+            line = fh.readline().decode()
             if not line.startswith("# soc-market-run"):
                 raise ValueError(f"{path}: not a run record")
             header = None
             while True:
-                line = fh.readline()
+                line = fh.readline().decode()
                 if line.startswith("#"):
                     parts = line[1:].split()
                     meta[parts[0]] = parts[1:]
                 else:
                     header = line.split()
                     break
-            data = np.loadtxt(fh, ndmin=2)
+            body = fh.read()
+        data = _parse_rows(body, len(header))
         col = {name: k for k, name in enumerate(header)}
         activity = None
         if "activity" in col:

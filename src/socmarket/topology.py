@@ -44,7 +44,8 @@ def _first(mask):
 class TradeNetwork:
     """Directed supplier/customer graph on a periodic line or lattice.
 
-    Treated as immutable after construction; safe to share read-only.
+    Immutable after construction: its arrays are read-only, so it is safe
+    to share.
 
     `suppliers` is a sequence of rows, or an (N, K) integer array when every
     agent has K suppliers.  The constructor validates and transposes with
@@ -109,6 +110,8 @@ class TradeNetwork:
         # the supplier keeps each good's customers ascending
         self.in_idx = np.argsort(self.sup_idx, kind="stable").astype(np.int64, copy=False)
         self.in_ptr = np.concatenate(([0], np.cumsum(np.bincount(self.sup_idx, minlength=n))))
+        for arr in (self.sup_ptr, self.sup_idx, self.row_agent, self.in_ptr, self.in_idx):
+            arr.flags.writeable = False
 
     @property
     def n_edges(self):

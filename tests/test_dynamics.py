@@ -1,9 +1,13 @@
+import ctypes
 import dataclasses
+import io
+import re
 
 import numpy as np
 import pytest
 
 import socmarket as sm
+from socmarket import _kernel
 from socmarket.errors import ConsistencyError, MarketDomainError
 
 from conftest import customer_rows, random_instance, supplier_rows
@@ -851,14 +855,20 @@ class TestRecordSerialization:
         assert np.array_equal(back.activity, grid.activity[:, 0])
         assert back.activity_f0 == -0.004
 
-    @pytest.mark.parametrize("net,with_activity", [
-        (sm.build_ring(50), True),
-        (sm.build_corner_lattice(10, "RT"), False),
-        (sm.build_corner_lattice(10, "RT"), True),
-    ], ids=["ring-activity", "lattice", "lattice-activity"])
-    def test_block_writer_matches_row_reference(self, tmp_path, net, with_activity):
+    @pytest.mark.parametrize("net,with_activity,fast", [
+        (sm.build_ring(50), True, False),
+        (sm.build_corner_lattice(10, "RT"), False, False),
+        (sm.build_corner_lattice(10, "RT"), True, False),
+        (sm.build_ring(50), True, True),
+        (sm.build_corner_lattice(10, "RT"), False, True),
+    ], ids=["ring-activity", "lattice", "lattice-activity", "ring-activity-fast",
+            "lattice-fast"])
+    def test_block_writer_matches_row_reference(self, tmp_path, net, with_activity, fast):
         # more rows than one write block, a nonzero start step, and a
-        # reference that formats each row value by value
+        # reference that formats each row value by value; mean prices below
+        # 1e-5 are written with an exponent, which the kernel declines, while
+        # prices near 10 and profits near -1 take its fast path, and so does
+        # 0.0, but not the nan in the second block
         rng = np.random.default_rng(5)
         n = sm.RunRecord._WRITE_ROWS + 1234
         rec = sm.RunRecord(
@@ -869,6 +879,11 @@ class TestRecordSerialization:
             renorm_flags=rng.random(n) < 0.1, kind=net.kind, start_step=777,
             activity=rng.integers(0, 60, n).astype(np.int32) if with_activity else None,
             activity_f0=-0.004 if with_activity else None)
+        if fast:
+            rec.min_profit = rec.min_profit * 100 - 1.0
+            rec.mean_price = rec.mean_price * 1e5 + 9.5
+            rec.min_profit[n - 7] = 0.0
+            rec.mean_price[n - 3] = np.nan
         path = tmp_path / "run.txt"
         rec.save_text(path)
         text = path.read_text()
@@ -888,6 +903,78 @@ class TestRecordSerialization:
         back = sm.RunRecord.load_text(path)
         assert back.start_step == 777
         assert np.array_equal(back.positions, rec.positions)
+        for name in ("min_profit", "mean_price"):
+            assert np.array_equal(getattr(back, name).view(np.uint64),
+                                  getattr(rec, name).view(np.uint64))
+        # the kernel takes the fast case's first block, and declines the rest
+        out = np.empty(32 * n, np.uint8)
+        taken = [_kernel.load().socm_write_rows(
+            out.ctypes.data, rows, 1, (ctypes.c_void_p * 1)(col.ctypes.data),
+            b"f", ord(" ")) >= 0
+            for col in (rec.min_profit, rec.mean_price) for rows in (sm.RunRecord._WRITE_ROWS, n)]
+        assert taken == [fast, fast, fast, False]
+
+    @staticmethod
+    def saved_rows(tmp_path, rec):
+        """The path of rec's text, its header through the column names, and
+        its rows."""
+        path = tmp_path / "run.txt"
+        rec.save_text(path)
+        text = path.read_bytes()
+        cut = text.index(b"\n", text.index(b"\nt loser_idx") + 1) + 1
+        return path, text[:cut], text[cut:]
+
+    @pytest.mark.parametrize("net,f0", [
+        (sm.build_corner_lattice(6, "RT"), None), (sm.build_ring(30), -0.004)],
+        ids=["lattice", "ring-activity"])
+    def test_reader_matches_loadtxt_bits(self, tmp_path, net, f0):
+        wts = sm.assign_weights_fixed(net, 0.4)
+        cfg = sm.SimConfig(total_steps=3000, transient_steps=0, seed=4)
+        rec = sm.run(net, wts, cfg, activity_f0=f0)
+        path, _, rows = self.saved_rows(tmp_path, rec)
+        ref = np.loadtxt(io.BytesIO(rows), ndmin=2)
+        back = sm.RunRecord.load_text(path)
+        columns = [back.loser_index, *back.positions.reshape(len(ref), -1).T,
+                   back.min_profit, back.mean_price, back.renorm_flags]
+        if f0 is not None:
+            columns.append(back.activity)
+        assert len(columns) == ref.shape[1] - 1
+        for k, col in enumerate(columns, start=1):
+            assert np.array_equal(col.astype(np.float64).view(np.uint64),
+                                  ref[:, k].view(np.uint64))
+
+    @pytest.mark.parametrize("damage", ["missing_field", "stray_letter", "no_final_newline",
+                                        "negative_zero", "tabs"])
+    def test_reader_refuses_what_loadtxt_refuses(self, tmp_path, damage):
+        # a body the kernel does not take goes to np.loadtxt, which reads it
+        # or raises its own ValueError, as it did before the kernel read
+        # records
+        net, wts, cfg = small_setup()
+        path, head, rows = self.saved_rows(tmp_path, sm.run(net, wts, cfg))
+        lines = rows.split(b"\n")
+        if damage == "missing_field":
+            lines[3] = lines[3].rsplit(b" ", 1)[0]
+        elif damage == "stray_letter":
+            lines[5] = lines[5].replace(b".", b".x", 1)
+        elif damage == "no_final_newline":
+            lines.pop()
+        elif damage == "negative_zero":  # in the min_profit column
+            fields = lines[2].split(b" ")
+            lines[2] = b" ".join(fields[:3] + [b"-0"] + fields[4:])
+        else:
+            lines[4] = lines[4].replace(b" ", b"\t")
+        rows = b"\n".join(lines)
+        path.write_bytes(head + rows)
+        if damage in ("missing_field", "stray_letter"):
+            with pytest.raises(ValueError) as today:
+                np.loadtxt(io.BytesIO(rows), ndmin=2)
+            with pytest.raises(ValueError, match=re.escape(str(today.value))):
+                sm.RunRecord.load_text(path)
+            return
+        ref = np.loadtxt(io.BytesIO(rows), ndmin=2)
+        back = sm.RunRecord.load_text(path)
+        assert np.array_equal(back.min_profit.view(np.uint64), ref[:, 3].view(np.uint64))
+        assert np.array_equal(back.loser_index, ref[:, 1].astype(np.int64))
 
 
 class TestCheckpointResume:

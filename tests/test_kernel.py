@@ -2,6 +2,7 @@
 its loser tree."""
 
 import ctypes
+import io
 import re
 import subprocess
 
@@ -87,16 +88,27 @@ def test_unwritable_cache_builds_for_this_process(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
-def test_no_compiler(cache, monkeypatch):
+def test_no_compiler(cache, monkeypatch, tmp_path):
+    compiler = _kernel.compiler
     monkeypatch.setattr(_kernel, "compiler", lambda: None)
     net = sm.build_ring(12)
     wts = sm.assign_weights_fixed(net, 0.4)
     cfg = sm.SimConfig(total_steps=50, transient_steps=0, seed=1)
     with pytest.raises(RuntimeError, match="needs a C compiler.*engine = full"):
         sm.Simulation(net, wts, cfg, engine="incremental")
-    rec = sm.Simulation(net, wts, cfg, engine="full").run()
+    rec = sm.Simulation(net, wts, cfg, engine="full").run(activity_f0=-0.004)
     assert len(rec.loser_index) == 50
+    # repr and np.loadtxt write and read the record
+    rec.save_text(tmp_path / "python.txt")
+    back = sm.RunRecord.load_text(tmp_path / "python.txt")
+    for name in ("loser_index", "min_profit", "mean_price", "renorm_flags", "activity"):
+        assert np.array_equal(getattr(back, name), getattr(rec, name))
     assert not cache.exists()
+    # the kernel writes the same bytes
+    monkeypatch.setattr(_kernel, "compiler", compiler)
+    rec.save_text(tmp_path / "kernel.txt")
+    assert _kernel._lib is not None
+    assert (tmp_path / "kernel.txt").read_bytes() == (tmp_path / "python.txt").read_bytes()
 
 
 @pytest.mark.parametrize("agent", [-1, 36])
@@ -270,3 +282,86 @@ def test_engine_tree_follows_every_update(make):
     assert eng._tree[1] == net.n_agents // 2
     eng.renormalize()
     assert eng._tree[1] == np.argmin(eng.profit)
+
+
+def kernel_repr(lib, x):
+    """The kernel's text for the float x, or None where it declines."""
+    value = ctypes.c_double(x)
+    out = ctypes.create_string_buffer(32)
+    size = lib.socm_write_rows(out, 1, 1, (ctypes.c_void_p * 1)(ctypes.addressof(value)),
+                               b"f", ord(" "))
+    return None if size < 0 else out.raw[:size - 1].decode()
+
+
+def formatted(values):
+    """(value, kernel text) of every value the kernel formats; every other
+    one it must decline."""
+    lib = _kernel.load()
+    pairs = [(x, kernel_repr(lib, x)) for x in np.asarray(values, dtype=np.float64).tolist()]
+    return [(x, text) for x, text in pairs if text is not None]
+
+
+def short_decimals(rng, n):
+    """n decimals of 1-7 significant digits from 1e-6 to 1e16, each with its
+    neighbours one ulp below and above."""
+    digits = rng.integers(1, 10 ** rng.integers(1, 8, n))
+    values = np.array([float(f"{d}e{e}") for d, e in zip(digits, rng.integers(-12, 10, n))])
+    return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+
+
+@pytest.mark.parametrize("draw", ["bit_patterns", "log_uniform", "short_decimals"])
+def test_float_formatter_matches_repr(draw):
+    rng = np.random.default_rng(["bit_patterns", "log_uniform", "short_decimals"].index(draw))
+    n = 100_000
+    if draw == "bit_patterns":
+        values = rng.integers(0, 2 ** 64, n, dtype=np.uint64, endpoint=False).view(np.float64)
+    elif draw == "log_uniform":
+        values = 10.0 ** rng.uniform(-6, 17, n) * rng.choice([-1.0, 1.0], n)
+    else:
+        values = short_decimals(rng, n // 3)
+    done = formatted(values)
+    assert [text for _, text in done] == [repr(x) for x, _ in done]
+    # the fast path takes every float in [1e-4, 1e15) but an exact tie,
+    # which random draws almost never are
+    inside = (np.abs(values) >= 1e-4) & (np.abs(values) < 1e15)
+    assert len(done) >= 0.99 * inside.sum()
+
+
+def test_float_formatter_edges():
+    # every power of two the fast path can meet, and its neighbours: the
+    # gap below a power of two is half the gap above
+    powers = [2.0 ** e for e in range(-20, 60)]
+    near = [float(np.nextafter(p, d)) for p in powers for d in (0.0, np.inf)]
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 0.5, 2.5,
+             1125899906842624.25, 999999999999999.9, 0.1, 10.5, -1.25,
+             *powers, *near]
+    for x in (1e-4, 1e15):
+        edges += [x, float(np.nextafter(x, 0.0)), float(np.nextafter(x, np.inf))]
+    edges += [-x for x in edges]
+    done = formatted(edges)
+    assert [text for _, text in done] == [repr(x) for x, _ in done]
+    taken = {x for x, _ in done}
+    assert not taken & {np.inf, 5e-324, 1e15, 1125899906842624.25, float(np.nextafter(1e-4, 0))}
+    assert {0.0, 0.5, 2.5, 0.1, 10.5, -1.25, 1e-4, 999999999999999.9} <= taken
+    assert {p for p in powers if 1e-4 <= p < 1e15} <= taken
+    assert {"0.0", "-0.0"} <= {text for _, text in done}
+
+
+def test_decimal_reader_matches_loadtxt():
+    # repr's output, decimals of 1-20 digits with up to 22 fraction digits,
+    # and integers, read to the same bits as np.loadtxt reads them
+    rng = np.random.default_rng(7)
+    n = 30_000
+    values = np.concatenate([10.0 ** rng.uniform(-6, 17, n), short_decimals(rng, n // 3)])
+    tokens = [repr(x) for x in (values * rng.choice([-1.0, 1.0], len(values))).tolist()]
+    for _ in range(n):
+        whole = "".join(map(str, rng.integers(0, 10, rng.integers(1, 17))))
+        frac = "".join(map(str, rng.integers(0, 10, rng.integers(0, 23))))
+        tokens.append(("-" if rng.random() < 0.5 else "") + whole + ("." + frac if frac else ""))
+    tokens += ["0", "-0", "0.0", "-0.0", "nan", "inf", "-inf", "1e-05", "9007199254740993",
+               "562949953421312.0625", "0.00010000000000000000479"]
+    body = ("\n".join(tokens) + "\n").encode()
+    got = np.empty((len(tokens), 1))
+    assert _kernel.load().socm_read_rows(body, len(body), len(tokens), 1, got.ctypes.data) == 0
+    ref = np.loadtxt(io.BytesIO(body), ndmin=2)
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))

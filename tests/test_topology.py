@@ -251,6 +251,32 @@ class TestInvariants:
             assert arr.dtype == np.int64 and arr.flags.c_contiguous
 
 
+class TestReadOnly:
+    def test_writes_to_the_arrays_raise(self):
+        # suppliers are views into sup_idx: a write through them would skip
+        # the constructor's checks and leave the transpose stale
+        net = sm.build_ring(5)
+        with pytest.raises(ValueError, match="read-only"):
+            net.suppliers[0][0] = 3
+        with pytest.raises(ValueError, match="read-only"):
+            net.sup_idx[0] = 3
+        for name in ("sup_ptr", "sup_idx", "row_agent", "in_ptr", "in_idx"):
+            assert not getattr(net, name).flags.writeable
+        assert supplier_rows(net)[0] == [4, 1]
+
+    @pytest.mark.parametrize("kind", [
+        "ring", "corner_rt", "corner_lt", "corner_lb", "corner_rb",
+        "manhattan", "f_lattice", "er_embedded"])
+    def test_every_builder_runs_both_engines(self, kind):
+        net, wts, _ = random_instance(np.random.default_rng(3), kind)
+        cfg = sm.SimConfig(total_steps=300, transient_steps=0, seed=2)
+        full = sm.run(net, wts, cfg, engine="full")
+        fast = sm.run(net, wts, cfg, engine="incremental", audit_interval=50)
+        assert np.array_equal(fast.loser_index, full.loser_index)
+        assert np.array_equal(fast.min_profit, full.min_profit)
+        assert np.array_equal(fast.mean_price, full.mean_price)
+
+
 class TestWeights:
     def test_fixed_split_half(self):
         net = sm.build_corner_lattice(4, "RT")
