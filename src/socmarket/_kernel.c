@@ -312,10 +312,11 @@ static int put_i64(char *out, int64_t v)
 }
 
 #ifdef __SIZEOF_INT128__
-/* Whether N / 10^k reads back as x = m / 2^s, where scaled = m 10^k and
- * p10 = 10^k: N 2^s lies within half a gap of m 10^k above it, and within
- * half the gap below (a quarter when x is a power of two, whose lower
- * neighbour lies nearer), with a tie reading as the even significand.
+/* Whether N / 10^k reads back as x = m / 2^s, given scaled = m 10^k and
+ * p10 = 10^k: the decimal lies above x by less than half the gap to x's
+ * upper neighbour, or below x by less than half the gap to its lower one
+ * (a quarter of the upper gap when x is a power of two), or exactly half
+ * a gap away when m is even (a tie reads as the even significand).
  */
 static int reads_back(u128 n, u128 scaled, int s, u128 p10, int even, int pow2)
 {
@@ -346,7 +347,8 @@ static u128 nearest(uint64_t m, int s, int k, int pow2, int *tie)
 
 /* Write x as repr writes it, and return the bytes written, or 0 where the
  * fast path declines: x not finite, x nonzero with |x| outside
- * [1e-4, 1e15) (where repr uses an exponent), or an exact rounding tie.
+ * [1e-4, 1e15) (below 1e-4 repr writes an exponent), or an exact rounding
+ * tie, which repr breaks to an even last digit.
  *
  * repr writes the shortest decimal that reads back as x (Steele & White
  * 1990, Gay 1990), and the nearest to x among those.  In this range that

@@ -330,20 +330,22 @@ def format_rows(columns, sep=" "):
     Python float), every row ended by a newline.  Returns a bytes-like
     object.  The kernel writes it where its fast path takes every float
     (socm_write_rows); repr writes it otherwise."""
+    rows = len(columns[0])
+    if any(len(c) != rows for c in columns):
+        raise ValueError("columns of different lengths")
     lib = _record_kernel()
     kinds = "".join("f" if c.dtype.kind == "f" else "i" for c in columns)
     if lib is not None:
         cols = [np.ascontiguousarray(c, dtype=np.float64 if kind == "f" else np.int64)
                 for c, kind in zip(columns, kinds)]
-        rows = len(cols[0])
         out = np.empty(rows * sum(map(_FIELD_BYTES.get, kinds)), dtype=np.uint8)
         ptrs = (ctypes.c_void_p * len(cols))(*(c.ctypes.data for c in cols))
         size = lib.socm_write_rows(out.ctypes.data, rows, len(cols), ptrs,
                                    kinds.encode(), ord(sep))
         if size >= 0:
             return out[:size]
-    rows = zip(*(map(repr, c.tolist()) for c in columns))
-    return ("\n".join(map(sep.join, rows)) + "\n").encode()
+    fields = zip(*(map(repr, c.tolist()) for c in columns))
+    return "".join(sep.join(row) + "\n" for row in fields).encode()
 
 
 def _parse_rows(body, ncols):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import socmarket as sm
-from socmarket import _kernel
+from socmarket import _kernel, dynamics
 
 
 @pytest.fixture
@@ -103,12 +103,14 @@ def test_no_compiler(cache, monkeypatch, tmp_path):
     back = sm.RunRecord.load_text(tmp_path / "python.txt")
     for name in ("loser_index", "min_profit", "mean_price", "renorm_flags", "activity"):
         assert np.array_equal(getattr(back, name), getattr(rec, name))
+    empty = bytes(dynamics.format_rows([np.zeros(0), np.zeros(0, np.int64)]))
     assert not cache.exists()
     # the kernel writes the same bytes
     monkeypatch.setattr(_kernel, "compiler", compiler)
     rec.save_text(tmp_path / "kernel.txt")
     assert _kernel._lib is not None
     assert (tmp_path / "kernel.txt").read_bytes() == (tmp_path / "python.txt").read_bytes()
+    assert bytes(dynamics.format_rows([np.zeros(0), np.zeros(0, np.int64)])) == empty == b""
 
 
 @pytest.mark.parametrize("agent", [-1, 36])
