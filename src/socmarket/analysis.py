@@ -22,6 +22,9 @@ import numpy as np
 from .errors import FitDomainError, StatisticsWarning
 
 MFBP_TAU_S = 1.5
+# the fewest avalanche events that threshold_scan fits and gamma_st takes by
+# default, and below which avalanche-stats warns
+MIN_EVENTS = 1000
 
 
 # ----------------------------------------------------------------------
@@ -56,33 +59,25 @@ def _linregress(x, y):
     return slope, intercept, r, stderr
 
 
-def fit_decay_rate(series, smooth_window=1, renorm_flags=None):
-    """Exponential decay rate of a one-signed series.
-
-    Smooths with a moving average (which leaves a pure exponential's
-    log-slope unchanged), requires a single sign afterwards, then fits
-    log|series| against time.  Returns k > 0 for decaying input.
+def fit_decay_rate(series, renorm_flags=None):
+    """Exponential decay rate of a one-signed series: the least-squares
+    slope of log|series| against time, reported as k > 0 for decaying
+    input.
 
     renorm_flags marks the steps where the series was rescaled (a run's
     renormalisations, where the mean price jumps back to about 1).  If any
-    is set, each stretch from one flag to the next is smoothed on its own,
-    and the fit is the slope the stretches share: the least-squares slope
-    of the points' offsets from their stretch's means.
+    is set, the fit is the slope that the stretches from one flag to the
+    next share: the least-squares slope of the points' offsets from their
+    stretch's means.  A stretch of one point holds no slope and is left out.
     """
     s = np.asarray(series, dtype=np.float64)
     rescaled = renorm_flags is not None and np.any(renorm_flags)
-    parts = np.split(s, np.flatnonzero(renorm_flags)) if rescaled else [s]
-    if smooth_window > 1:
-        if smooth_window > s.size:
-            raise FitDomainError("smoothing window longer than the series")
-        kernel = np.full(smooth_window, 1.0 / smooth_window)
-        parts = [np.convolve(part, kernel, mode="valid")
-                 for part in parts if part.size >= smooth_window]
-    if rescaled:  # a stretch of one point holds no slope
-        parts = [part for part in parts if part.size > 1]
-    s = np.concatenate(parts) if parts else s[:0]
+    parts = [s]
+    if rescaled:
+        parts = [part for part in np.split(s, np.flatnonzero(renorm_flags)) if part.size > 1]
+        s = np.concatenate(parts) if parts else s[:0]
     if not (np.all(s > 0.0) or np.all(s < 0.0)):
-        raise FitDomainError("series changes sign after smoothing")
+        raise FitDomainError("series changes sign")
     if s.size < 3:
         raise FitDomainError("too few points for a decay fit")
     if not rescaled:
@@ -147,13 +142,12 @@ def _avalanche_arrays(y):
 class BinnedDistribution:
     """Log-binned density: bin r covers the integers [2^r, 2^(r+1) - 1],
     its representative x is the average of the two bounds, and the density
-    is count / (total * width)."""
+    is count / (number of values * width)."""
     bin_lo: np.ndarray
     bin_hi: np.ndarray
     x: np.ndarray
     density: np.ndarray
     counts: np.ndarray
-    total: int
 
     @property
     def widths(self):
@@ -173,11 +167,9 @@ def log_bin(values):
     lo = edges[:-1]
     hi = edges[1:] - 1
     widths = (hi - lo + 1).astype(np.float64)
-    total = int(v.size)
-    density = counts / (total * widths)
+    density = counts / (int(v.size) * widths)
     x = (lo + hi) / 2.0
-    return BinnedDistribution(bin_lo=lo, bin_hi=hi, x=x, density=density,
-                              counts=counts, total=total)
+    return BinnedDistribution(bin_lo=lo, bin_hi=hi, x=x, density=density, counts=counts)
 
 
 @dataclass
@@ -188,12 +180,6 @@ class PowerLawFit:
     fit_range: tuple
     n_points: int
     r_squared: float
-    intercept: float
-
-    def __str__(self):
-        return (f"tau = {self.exponent:.3f} +/- {self.stderr:.3f} "
-                f"on [{self.fit_range[0]:g}, {self.fit_range[1]:g}] "
-                f"({self.n_points} bins, R^2 = {self.r_squared:.3f})")
 
 
 def fit_power_law(dist, fit_range=(10.0, 1000.0), min_points=3):
@@ -207,11 +193,11 @@ def fit_power_law(dist, fit_range=(10.0, 1000.0), min_points=3):
             f"need at least {min_points} nonzero bins in [{lo:g}, {hi:g}], found {n}")
     lx = np.log(dist.x[sel])
     ly = np.log(dist.density[sel])
-    slope, intercept, rvalue, stderr = _linregress(lx, ly)
+    slope, _, rvalue, stderr = _linregress(lx, ly)
     return PowerLawFit(exponent=-float(slope),
                        stderr=float(stderr) if np.isfinite(stderr) else 0.0,
                        fit_range=(float(lo), float(hi)), n_points=n,
-                       r_squared=float(rvalue) ** 2, intercept=float(intercept))
+                       r_squared=float(rvalue) ** 2)
 
 
 def fit_power_law_mle(values, x_min=1):
@@ -348,7 +334,7 @@ class ThresholdScan:
 
 
 def threshold_scan(net, wts, config, f0_grid=None, engine="incremental",
-                   size_range=DEFAULT_SIZE_RANGE, min_events=1000):
+                   size_range=DEFAULT_SIZE_RANGE, min_events=MIN_EVENTS):
     """Locate the critical activity threshold.
 
     Runs once, tracking activity on a grid of thresholds after the
@@ -462,8 +448,7 @@ def loser_jump_stats(record, mode="raw", metric="norm"):
         warnings.warn(f"only {xi.size} jumps, statistics will be poor",
                       StatisticsWarning, stacklevel=2)
     L = float(record.extents[0])
-    order = np.sort(xi)
-    cum_x, counts = np.unique(order, return_counts=True)
+    cum_x, counts = np.unique(xi, return_counts=True)
     cum_f = np.cumsum(counts) / xi.size
 
     half = L / 2.0
@@ -472,16 +457,14 @@ def loser_jump_stats(record, mode="raw", metric="norm"):
     far = far[far >= 1.0]
 
     pi1 = pi2 = None
-    if near.size:
-        try:
-            pi1 = _fit_branch(near, half)
-        except FitDomainError:
-            pass
-    if far.size:
-        try:
-            pi2 = _fit_branch(far, half)
-        except FitDomainError:
-            pass
+    try:
+        pi1 = _fit_branch(near, half)
+    except FitDomainError:
+        pass
+    try:
+        pi2 = _fit_branch(far, half)
+    except FitDomainError:
+        pass
     return JumpStats(distances=xi, mode=mode, metric=metric,
                      cumulative_x=cum_x, cumulative_f=cum_f, pi1=pi1, pi2=pi2)
 
@@ -497,7 +480,7 @@ class GammaFit:
     n_points: int
 
 
-def gamma_st(events, min_events=1000):
+def gamma_st(events, min_events=MIN_EVENTS):
     """Exponent of <S> ~ T^gamma from the mean sizes of the durations seen
     at least 3 times."""
     if len(events) < min_events:
@@ -536,10 +519,11 @@ def scaling_relation_residual(tau_s, tau_t, gamma_fit):
 def stationary_profit_quantile(sim, q, n_snapshots=200):
     """Quantile of the stationary rescaled per-agent profit distribution.
 
-    Steps the given fresh Simulation through its configured run, sampling
-    the rescaled profit vector on a regular post-transient stride.  Used to
-    resolve quantile-specified activity thresholds; deterministic for a
-    fixed config.
+    Steps the given fresh Simulation from the transient on, sampling the
+    rescaled profit vector on a regular post-transient stride below
+    total_steps, and stops at the last sample's step.  Used to resolve
+    quantile-specified activity thresholds; deterministic for a fixed
+    config.
     """
     cfg = sim.config
     span = cfg.total_steps - cfg.transient_steps
@@ -549,5 +533,4 @@ def stationary_profit_quantile(sim, q, n_snapshots=200):
     for t in range(cfg.transient_steps, cfg.total_steps, stride):
         _advance_to(sim, t)  # the profits and mean price step t sees
         samples.append(eng.profit / (eng.psum / eng.n))
-    _advance_to(sim, cfg.total_steps)
     return float(np.quantile(np.concatenate(samples), q))

@@ -33,8 +33,6 @@ import numpy as np
 from . import __version__, analysis, dynamics, topology
 from .errors import ConfigError, StatisticsWarning, TopologyError
 
-MIN_EVENTS = 1000
-
 # [topology] keys each buildable kind needs
 TOPOLOGY_KEYS = {
     "ring": ("n",),
@@ -98,7 +96,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown distance_mode {self.distance_mode!r}")
         if self.distance_metric not in ("norm", "component"):
             raise ConfigError(f"unknown distance_metric {self.distance_metric!r}")
-        if self.engine not in ("incremental", "full"):
+        if self.engine not in dynamics.ENGINES:
             raise ConfigError(f"unknown engine {self.engine!r}")
         if self.n_seeds < 1 or self.workers < 1:
             raise ConfigError("n_seeds and workers must be >= 1")
@@ -370,8 +368,8 @@ def cmd_avalanche_stats(ecfg, args):
         f0, f0_mode, y = _scan_for_threshold(ecfg, net, wts, sim_cfg)
         f0_mode = "scan (fallback)"
         events = analysis.extract_avalanches(y)
-    if len(events) < MIN_EVENTS:
-        warnings.warn(f"only {len(events)} avalanche events (< {MIN_EVENTS})",
+    if len(events) < analysis.MIN_EVENTS:
+        warnings.warn(f"only {len(events)} avalanche events (< {analysis.MIN_EVENTS})",
                       StatisticsWarning, stacklevel=2)
     result = {
         "config_hash": config_hash,
@@ -451,7 +449,7 @@ def make_parser():
         p.add_argument("--run", help="existing run record to analyze")
         p.add_argument("--seed", type=int, help="override base seed")
         p.add_argument("--out", help="override output directory")
-        p.add_argument("--engine", choices=("incremental", "full"))
+        p.add_argument("--engine", choices=dynamics.ENGINES)
         p.add_argument("--f0", type=float, help="absolute activity threshold")
         p.add_argument("--f0-quantile", type=float,
                        help="activity threshold as a stationary profit quantile")

@@ -156,6 +156,10 @@ def affected_sets(net, changed):
 # ----------------------------------------------------------------------
 # engines
 
+# the engine names a Simulation and the CLI accept
+ENGINES = ("incremental", "full")
+
+
 class _State:
     """An engine state array whose address the kernel holds: assigning to
     the attribute copies into the array, so the kernel never reads a stale
@@ -174,7 +178,7 @@ class _State:
 
 
 class MarketEngine:
-    """Mutable market state with one compiled update kernel.
+    """Mutable market state, updated by one of the ENGINES.
 
     The state is float64 numpy arrays: prices `p`, productions `qp`, wants
     (per supplier edge), demands `qW`, trades `qt` and profits `profit`,
@@ -182,7 +186,8 @@ class MarketEngine:
     arrays live as long as the engine; assigning to one copies into it.
     `psum` is the price sum, which each cut updates.
 
-    `recompute_all` writes evaluate_market's arrays into the state; the
+    `recompute_all` writes evaluate_market's arrays into the state, which
+    is every update of the "full" engine; the "incremental" engine's
     kernel (`_kernel.c`) runs the four phases (production and wants,
     demand, traded, profit) of the changed agent's update_plan row, with
     evaluate_market's arithmetic in its order, so both give the same bits.
@@ -206,7 +211,10 @@ class MarketEngine:
     # price cuts drawn per generator call
     _BLOCK = 1024
 
-    def __init__(self, net, wts, prices, incremental=True):
+    def __init__(self, net, wts, prices, engine="incremental"):
+        if engine not in ENGINES:
+            raise ValueError(f"engine must be {' or '.join(ENGINES)}, got {engine!r}")
+        incremental = engine == "incremental"
         # built first, so that a missing compiler fails before any work
         lib = _kernel.load() if incremental else None
         n = net.n_agents
@@ -219,12 +227,9 @@ class MarketEngine:
         self._draws = np.empty(self._BLOCK)
         # the full engine's struct only holds the price sum
         self._market = _kernel.Market(n=n)
-        # the profits a cut of each agent's price recomputes (full engine: None)
-        self._touches = None
         if incremental:
             self._lib = lib
             self._plan_ptr, self._plan = update_plan(net, np.arange(n))
-            self._touches = self._plan_ptr[4::4] - self._plan_ptr[3::4]
             # every array the kernel reads is held by the engine or its network
             self._w = np.ascontiguousarray(wts.weights_flat, dtype=np.float64)
             size = 1 << (n - 1).bit_length()  # leaves of the loser tree
@@ -292,7 +297,6 @@ class MarketEngine:
         np.divide(p, m, out=p)
         self.psum = math.fsum(p)
         self.recompute_all()
-        return m
 
     # -- validation ------------------------------------------------------
 
@@ -351,7 +355,10 @@ def format_rows(columns, sep=" "):
 def _parse_rows(body, ncols):
     """The rows of a record body (bytes) as a float64 matrix, as
     np.loadtxt(ndmin=2) reads them: by the kernel where it takes the body
-    (socm_read_rows), and by np.loadtxt, with its errors, otherwise."""
+    (socm_read_rows), and by np.loadtxt, with its errors, otherwise.  An
+    empty body is ncols columns of no rows (np.loadtxt would read one)."""
+    if not body:
+        return np.empty((0, ncols))
     lib = _record_kernel()
     if lib is not None and body.endswith(b"\n"):
         data = np.empty((body.count(b"\n"), ncols))
@@ -482,6 +489,9 @@ class RunRecord:
                     break
             body = fh.read()
         data = _parse_rows(body, len(header))
+        if data.shape[1] != len(header):
+            raise ValueError(f"{path}: rows hold {data.shape[1]} fields, "
+                             f"the header names {len(header)}")
         col = {name: k for k, name in enumerate(header)}
         activity = None
         if "activity" in col:
@@ -522,19 +532,19 @@ _CKPT_HEAD = struct.Struct("<8sQQdd16s16sII")
 
 
 def save_checkpoint(path, t, prices, rng, psum, renorm_level):
-    """Write the checkpoint to path + ".tmp", then move it over path, so a
-    crash mid-write leaves the previous checkpoint intact."""
+    """Write the _CKPT_HEAD header and the prices to path + ".tmp", then
+    move it over path, so a crash mid-write leaves the previous checkpoint
+    intact."""
     state = rng.bit_generator.state
     if state["bit_generator"] != "PCG64":
         raise ValueError("checkpoints support the PCG64 generator only")
     p = np.asarray(prices, dtype="<f8")
+    pcg = state["state"]
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<QQdd", t, len(p), psum, renorm_level))
-        fh.write(state["state"]["state"].to_bytes(16, "little"))
-        fh.write(state["state"]["inc"].to_bytes(16, "little"))
-        fh.write(struct.pack("<II", state["has_uint32"], state["uinteger"]))
+        fh.write(_CKPT_HEAD.pack(
+            _CKPT_MAGIC, t, len(p), psum, renorm_level, pcg["state"].to_bytes(16, "little"),
+            pcg["inc"].to_bytes(16, "little"), state["has_uint32"], state["uinteger"]))
         fh.write(p.tobytes())
     os.replace(tmp, path)
 
@@ -563,13 +573,6 @@ def load_checkpoint(path):
 # ----------------------------------------------------------------------
 # simulation driver
 
-def _new_engine(net, wts, prices, engine):
-    """The MarketEngine a Simulation steps, named "incremental" or "full"."""
-    if engine not in ("incremental", "full"):
-        raise ValueError(f"engine must be incremental or full, got {engine!r}")
-    return MarketEngine(net, wts, prices, incremental=(engine == "incremental"))
-
-
 class Simulation:
     """Owns an engine, the random source, and the step loop (_advance)."""
 
@@ -580,7 +583,7 @@ class Simulation:
         self.net, self.wts, self.config = net, wts, config
         self._rng = np.random.default_rng(config.seed)
         prices = config.price_floor + self._rng.random(net.n_agents)
-        self._eng = _new_engine(net, wts, prices, engine)
+        self._eng = MarketEngine(net, wts, prices, engine)
         self._t = 0
         if config.renorm_threshold is None:
             self._renorm_level = 1e-6 * (self._eng.psum / net.n_agents)
@@ -719,7 +722,8 @@ class Simulation:
         loser_idx[k:k + m] = eng._losers[:m]
         min_profit[k:k + m] = eng._mins[:m]
         mean_price[k:k + m] = eng._means[:m]
-        eng.touched_last = int(eng._touches[eng._losers[m - 1]])
+        c = eng._losers.item(m - 1)  # the profits the last cut recomputed
+        eng.touched_last = int(eng._plan_ptr[4 * c + 4] - eng._plan_ptr[4 * c + 3])
 
     @classmethod
     def resume(cls, net, wts, config, checkpoint_path, engine="incremental"):
@@ -731,7 +735,7 @@ class Simulation:
         sim = cls.__new__(cls)
         sim.net, sim.wts, sim.config = net, wts, config.validate()
         sim._rng = rng
-        sim._eng = _new_engine(net, wts, prices, engine)
+        sim._eng = MarketEngine(net, wts, prices, engine)
         sim._eng.psum = psum
         sim._t = t
         sim._renorm_level = renorm_level

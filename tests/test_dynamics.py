@@ -447,13 +447,18 @@ class TestEngineEquivalence:
             sim.step()
             assert sim.engine.touched_last == 50
 
+    def test_engine_names_are_exact(self):
+        net, wts, _ = small_setup()
+        with pytest.raises(ValueError, match="engine must be incremental or full"):
+            sm.MarketEngine(net, wts, np.full(net.n_agents, 10.0), engine="Full")
+
 
 def reference_loop(net, wts, cfg, engine, f0, thresholds):
     """The documented step, written out from the engine's public pieces
     with one scalar draw per cut."""
     rng = np.random.default_rng(cfg.seed)
     prices = cfg.price_floor + rng.random(net.n_agents)
-    eng = sm.MarketEngine(net, wts, prices, incremental=(engine == "incremental"))
+    eng = sm.MarketEngine(net, wts, prices, engine=engine)
     if cfg.renorm_threshold is None:
         level = 1e-6 * (eng.psum / eng.n)
     else:
@@ -977,6 +982,44 @@ class TestRecordSerialization:
         assert np.array_equal(back.loser_index, ref[:, 1].astype(np.int64))
 
 
+    @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "python"])
+    def test_zero_row_roundtrip(self, tmp_path, monkeypatch, kernel):
+        # a record of no steps reads back as one, with or without a compiler
+        if not kernel:
+            monkeypatch.setattr(sm.dynamics, "_record_kernel", lambda: None)
+        net = sm.build_corner_lattice(4, "RT")
+        empty = np.zeros(0)
+        rec = sm.RunRecord(
+            n_agents=net.n_agents, extents=net.extents, transient_steps=0,
+            loser_index=np.zeros(0, np.int64), min_profit=empty, mean_price=empty,
+            renorm_flags=np.zeros(0, bool), kind=net.kind, activity=np.zeros(0, np.int32),
+            activity_f0=-0.004, start_step=40)
+        path = tmp_path / "run.txt"
+        rec.save_text(path)
+        back = sm.RunRecord.load_text(path)
+        assert back.total_steps == 40
+        for name in ("loser_index", "min_profit", "mean_price", "renorm_flags", "activity"):
+            assert getattr(back, name).shape == (0,)
+        assert back.positions.shape == (0, 2)
+
+    @pytest.mark.parametrize("damage", ["dropped", "added"])
+    def test_rows_of_another_width_are_refused(self, tmp_path, damage):
+        # the kernel declines such rows, and np.loadtxt reads rows of any
+        # one width: a field cut from, or added to, the middle of every row
+        # would shift the columns after it
+        net, wts, cfg = small_setup()
+        path, head, rows = self.saved_rows(tmp_path, sm.run(net, wts, cfg))
+        lines = []
+        for line in rows.split(b"\n")[:-1]:
+            fields = line.split(b" ")
+            fields[2:3] = [] if damage == "dropped" else [fields[2], b"0"]
+            lines.append(b" ".join(fields) + b"\n")
+        path.write_bytes(head + b"".join(lines))
+        width = 5 if damage == "dropped" else 7
+        with pytest.raises(ValueError, match=f"rows hold {width} fields, the header names 6"):
+            sm.RunRecord.load_text(path)
+
+
 class TestCheckpointResume:
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         net, wts, _ = small_setup()
@@ -1034,10 +1077,11 @@ class TestCheckpointResume:
         path = tmp_path / "c.bin"
         sm.save_checkpoint(path, 7, np.full(4, 10.0), rng, 40.0, 1e-5)
 
-        def crash(*args):
-            raise OSError("disk full")
-        # the second save dies after writing the magic bytes
-        monkeypatch.setattr(sm.dynamics.struct, "pack", crash)
+        class Crash:
+            def pack(self, *args):
+                raise OSError("disk full")
+        # the second save dies while it writes the header
+        monkeypatch.setattr(sm.dynamics, "_CKPT_HEAD", Crash())
         with pytest.raises(OSError):
             sm.save_checkpoint(path, 9, np.full(4, 5.0), rng, 20.0, 1e-5)
         monkeypatch.undo()

@@ -124,15 +124,21 @@ def test_agent_out_of_range_is_rejected_before_the_kernel(agent):
     eng.audit()
 
 
-def test_kernel_builds_without_warnings(tmp_path):
+@pytest.mark.parametrize("extra", [(), ("-U__SIZEOF_INT128__",)], ids=["default", "no-int128"])
+def test_kernel_builds_without_warnings(tmp_path, extra):
     cc = _kernel.compiler()
     if cc is None:
         pytest.skip("no C compiler")
     done = subprocess.run(
-        [cc, *_kernel.FLAGS, "-Wall", "-Wextra", "-Werror",
+        [cc, *_kernel.FLAGS, *extra, "-Wall", "-Wextra", "-Werror",
          "-o", str(tmp_path / "kernel.so"), str(_kernel.SOURCE), "-lm"],
         capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+    # without unsigned __int128 the float writer declines every float
+    out, col = np.empty(32, np.uint8), np.array([1.5])
+    size = _kernel._open(tmp_path / "kernel.so").socm_write_rows(
+        out.ctypes.data, 1, 1, (ctypes.c_void_p * 1)(col.ctypes.data), b"f", ord(" "))
+    assert size == (-1 if extra else 4)
 
 
 # the ctypes type of each C member type the kernel's structs use
