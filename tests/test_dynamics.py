@@ -981,7 +981,6 @@ class TestRecordSerialization:
         assert np.array_equal(back.min_profit.view(np.uint64), ref[:, 3].view(np.uint64))
         assert np.array_equal(back.loser_index, ref[:, 1].astype(np.int64))
 
-
     @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "python"])
     def test_zero_row_roundtrip(self, tmp_path, monkeypatch, kernel):
         # a record of no steps reads back as one, with or without a compiler
