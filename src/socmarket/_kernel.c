@@ -2,6 +2,17 @@
  * engine binds once: the update after one price change, the loser tree, and
  * the step loop over a block of price cuts with its activity count.
  *
+ * The activity counts, at every step, the profits below each threshold
+ * f0[k] * mean price of a grid.  The cuts only lower the mean price, so
+ * between relistings, while the mean price lies in [mp_low, mp], sorted
+ * threshold s stays in a band [lo[s], hi[s]].  Each agent sits in a bucket,
+ * the number of sorted thresholds whose band top its profit is not below: a
+ * profit below every band from that bucket on counts in hist[bucket], and
+ * one inside a band goes on a short band list, whose members alone are
+ * compared with the thresholds at each step.  A row is then a prefix sum of
+ * hist plus the band members' counts, integer sums equal to a compare of
+ * every profit.
+ *
  * After one price change socm_update recomputes, phase by phase, production
  * and wants, demand, traded and profit over the changed agent's plan row,
  * with market.evaluate_market's arithmetic in its order, so the two give
@@ -49,17 +60,25 @@ typedef struct {
     double eta_max;
     /* the mean price below which the prices are renormalised */
     double level;
-    /* activity[j * nf0 + k] counts the profits below f0[k] * mean price */
+    /* activity[j * nf0 + k] counts the profits below f0[k] * mean price,
+       for a grid f0 of nf0 thresholds */
     int64_t nf0;
-    const double *f0;
     int32_t *activity;
-    /* the activity's candidates: below[0 .. nbelow - 1] lists the agents
-       whose profit is not >= bound, and slot[i] is agent i's place there
-       or -1; bound is at least every threshold while the mean price is at
-       least mp_low */
-    int32_t *below, *slot;
-    int64_t nbelow;
+    /* the sorted grid: sorted threshold s is f0[order[s]], held in
+       sorted_f0[s] (a NaN as -inf, which no profit is below either), and
+       lies in [lo[s], hi[s]] while the mean price lies in [mp_low, mp];
+       bound is hi[nf0 - 1], the top of every band */
+    const int32_t *order;
+    const double *sorted_f0;
+    double *lo, *hi;
     double bound, mp_low;
+    /* agent i's bucket[i] is the number of sorted thresholds whose hi it is
+       not below (nf0 for a NaN profit); hist[b] counts the agents of bucket
+       b outside every band, each below every threshold from b on, and
+       band[0 .. nband - 1] lists the others, with slot[i] agent i's place
+       there or -1 */
+    int32_t *hist, *bucket, *band, *slot;
+    int64_t nband;
 } market;
 
 /* The winner of a and b, where a's leaves lie left of b's: b wins only with
@@ -170,57 +189,107 @@ int socm_update(const market *m, int c)
     return (int)(b[4] - b[3]);
 }
 
-/* Add agent i to the candidates or remove it, after its profit changed; a
-   removal moves the last candidate into its place (the counts are integer
-   sums, so the order is free). */
+/* The number of leading edge[0 .. count - 1] that x is not below, for
+   edges that never decrease and an x that is not NaN. */
+static int64_t passed(const double *edge, int64_t count, double x)
+{
+    int64_t lo = 0, hi = count, mid;
+
+    while (lo < hi) {
+        mid = (lo + hi) / 2;
+        if (x >= edge[mid])
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* Put agent i, which is in no bucket, into the bucket of its profit: in
+   hist if the profit lies below every band from its bucket on, else on the
+   band list. */
+static void put(market *m, int32_t i)
+{
+    double x = m->profit[i];
+    int64_t k = m->nf0, b = x < m->bound ? passed(m->hi, k, x) : k;
+
+    m->bucket[i] = (int32_t)b;
+    if (b == k || x < m->lo[b]) {
+        m->hist[b]++;
+    } else {
+        m->slot[i] = (int32_t)m->nband;
+        m->band[m->nband++] = i;
+    }
+}
+
+/* Move agent i to the bucket of its new profit.  A profit at or above bound
+   that stays in bucket nf0 returns at once; a band member leaves the list by
+   moving the last member into its place (the counts are integer sums, so
+   the order is free). */
 static void place(market *m, int32_t i)
 {
     int32_t at = m->slot[i], last;
-    int listed = !(m->profit[i] >= m->bound);
 
-    if (listed && at < 0) {
-        m->slot[i] = (int32_t)m->nbelow;
-        m->below[m->nbelow++] = i;
-    } else if (!listed && at >= 0) {
-        last = m->below[--m->nbelow];
-        m->below[at] = last;
+    if (at < 0) {
+        if (m->bucket[i] == m->nf0 && !(m->profit[i] < m->bound))
+            return;
+        m->hist[m->bucket[i]]--;
+    } else {
+        last = m->band[--m->nband];
+        m->band[at] = last;
         m->slot[last] = at;
         m->slot[i] = -1;
     }
+    put(m, i);
 }
 
-/* List the candidates at mean price mp.  The cuts only lower the mean price,
-   and a threshold f0[k] * mp' at any mp' in [mp_low, mp] lies between
-   f0[k] * mp and f0[k] * mp_low, so it is at most bound until the mean
-   price falls 0.1 % below mp. */
-static void list_below(market *m, double mp)
+/* Bucket every agent at mean price mp.  The cuts only lower the mean price,
+   and a threshold f0 * mp' at any mp' in [mp_low, mp] lies between f0 * mp
+   and f0 * mp_low, so it stays in its band until the mean price falls 0.1 %
+   below mp.  The bands' edges never decrease with s, as the sorted
+   thresholds do not at any positive mean price. */
+static void relist(market *m, double mp)
 {
-    int64_t i, k;
+    int64_t i, s, k = m->nf0;
 
     m->mp_low = mp * (1.0 - 1e-3);
-    m->bound = -INFINITY;
-    for (k = 0; k < m->nf0; k++)
-        m->bound = fmax(m->bound, fmax(m->f0[k] * mp, m->f0[k] * m->mp_low));
-    m->nbelow = 0;
+    for (s = 0; s < k; s++) {
+        double a = m->sorted_f0[s] * mp, b = m->sorted_f0[s] * m->mp_low;
+        m->lo[s] = fmin(a, b);
+        m->hi[s] = fmax(a, b);
+    }
+    m->bound = k ? m->hi[k - 1] : -INFINITY;
+    memset(m->hist, 0, (size_t)(k + 1) * sizeof *m->hist);
+    m->nband = 0;
     for (i = 0; i < m->n; i++) {
         m->slot[i] = -1;
-        place(m, (int32_t)i);
+        put(m, (int32_t)i);
     }
 }
 
-/* Count step j's row of activity: the candidates below each threshold
-   f0[k] * mp. */
+/* Count step j's row of activity, the profits below each threshold
+   f0[k] * mp: sorted threshold s counts hist[0 .. s] and the band members
+   below it.  A band member of bucket b lies below thresholds b .. nf0 - 1
+   from the first it is below on, as they never decrease; the row first
+   holds where each count starts, then their prefix sums. */
 static void count_activity(const market *m, int j, double mp)
 {
-    int32_t *row = m->activity + (int64_t)j * m->nf0;
-    int64_t i, k;
+    int32_t *row = m->activity + (int64_t)j * m->nf0, total = 0;
+    const int32_t *order = m->order;
+    int64_t i, s, k = m->nf0;
 
-    for (k = 0; k < m->nf0; k++) {
-        double top = m->f0[k] * mp;
-        int32_t count = 0;
-        for (i = 0; i < m->nbelow; i++)
-            count += m->profit[m->below[i]] < top;
-        row[k] = count;
+    for (s = 0; s < k; s++)
+        row[order[s]] = m->hist[s];
+    for (i = 0; i < m->nband; i++) {
+        double x = m->profit[m->band[i]];
+        for (s = m->bucket[m->band[i]]; s < k && !(x < m->sorted_f0[s] * mp); s++)
+            ;
+        if (s < k)
+            row[order[s]]++;
+    }
+    for (s = 0; s < k; s++) {
+        total += row[order[s]];
+        row[order[s]] = total;
     }
 }
 
@@ -230,10 +299,10 @@ static void count_activity(const market *m, int j, double mp)
  * level (except at step `from` when `renormed` is set: the caller has just
  * renormalised), then writes the loser, its profit and the mean price to
  * loser[j], min_profit[j] and mean_price[j], counts the activity if
- * `activity` is set, and cuts the price.  The activity's candidates are
- * listed on entry (the caller may have changed any profit) and whenever the
- * mean price falls below mp_low, and each update places the agents of its
- * profit phase.  Returns the step it stopped before, or -1 - j if step j's
+ * `activity` is set, and cuts the price.  The agents are bucketed anew
+ * on entry (the caller may have changed any profit) and whenever the mean
+ * price falls below mp_low, and each update places the agents of its profit
+ * phase.  Returns the step it stopped before, or -1 - j if step j's
  * new price is not positive (nothing of step j is done).
  */
 int socm_advance(market *m, int from, int count, int renormed)
@@ -257,7 +326,7 @@ int socm_advance(market *m, int from, int count, int renormed)
         m->mean_price[j] = mp;
         if (m->activity) {
             if (j == from || !(mp >= m->mp_low))
-                list_below(m, mp);
+                relist(m, mp);
             count_activity(m, j, mp);
         }
         m->psum += cut - old;

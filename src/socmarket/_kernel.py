@@ -40,7 +40,7 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 class Market(ctypes.Structure):
     """The kernel's `market` struct: addresses of the engine's arrays and
     the loser tree's, the price sum, one block of steps' buffers and
-    settings, and the activity's candidate list."""
+    settings, and the activity's sorted grid, bands and buckets."""
     _fields_ = [
         *((name, ctypes.c_void_p) for name in (
             "p", "wants", "qp", "qW", "qt", "profit", "w", "sup_ptr", "sup_idx",
@@ -48,9 +48,11 @@ class Market(ctypes.Structure):
         ("n", ctypes.c_int64), ("size", ctypes.c_int64), ("psum", ctypes.c_double),
         *((name, ctypes.c_void_p) for name in ("u", "loser", "min_profit", "mean_price")),
         ("eta_max", ctypes.c_double), ("level", ctypes.c_double), ("nf0", ctypes.c_int64),
-        ("f0", ctypes.c_void_p), ("activity", ctypes.c_void_p), ("below", ctypes.c_void_p),
-        ("slot", ctypes.c_void_p), ("nbelow", ctypes.c_int64), ("bound", ctypes.c_double),
-        ("mp_low", ctypes.c_double)]
+        *((name, ctypes.c_void_p) for name in (
+            "activity", "order", "sorted_f0", "lo", "hi")),
+        ("bound", ctypes.c_double), ("mp_low", ctypes.c_double),
+        *((name, ctypes.c_void_p) for name in ("hist", "bucket", "band", "slot")),
+        ("nband", ctypes.c_int64)]
 
 
 def compiler():

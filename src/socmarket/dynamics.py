@@ -17,7 +17,8 @@ Two interchangeable engines drive the evaluation:
                  as CSR arrays that the compiled kernel (_kernel.c) reads.
                  The kernel runs a whole block of cuts: it takes each loser
                  from a loser tree, repaired once per node over the profit
-                 phase, and counts the activity over candidate profits.
+                 phase, and counts the activity from per-agent threshold
+                 buckets.
 
 Both engines keep their state in float64 numpy arrays.  Engine construction
 and renormalisation evaluate the full market too.  The incremental kernel
@@ -28,6 +29,7 @@ within tolerance.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import io
 import math
@@ -196,7 +198,9 @@ class MarketEngine:
     recompute_all and any assignment to `profit` rebuild it.  The kernel's
     one struct, `_market`, is bound here once (an address taken through
     ctypes costs about a kernel step): the state, the plan, the tree,
-    `psum`, one block's buffers and the activity's candidates.
+    `psum`, one block's buffers and each agent's threshold bucket and band
+    slot; `_bind_grid` binds a threshold grid's sorted order, bands and
+    per-bucket counts.
     """
 
     p = _State()
@@ -234,19 +238,20 @@ class MarketEngine:
             self._w = np.ascontiguousarray(wts.weights_flat, dtype=np.float64)
             size = 1 << (n - 1).bit_length()  # leaves of the loser tree
             self._tree = np.empty(2 * size, dtype=np.int32)
-            # one block's losers, min profits and mean prices, and the
-            # activity's candidates
+            # one block's losers, min profits and mean prices, and each
+            # agent's threshold bucket, the band list and each agent's place
+            # there
             self._losers = np.empty(self._BLOCK, dtype=np.int32)
             self._mins, self._means = np.empty((2, self._BLOCK))
-            self._below, self._slot = np.empty((2, n), dtype=np.int32)
+            self._bucket, self._band, self._slot = np.empty((3, n), dtype=np.int32)
             arrays = (self._p, self._wants, self._qp, self._qW, self._qt, self._profit,
                       self._w, net.sup_ptr, net.sup_idx, net.in_ptr, net.in_idx,
                       self._plan_ptr, self._plan, self._tree)
             block = (self._draws, self._losers, self._mins, self._means)
             self._market = _kernel.Market(
                 *(a.ctypes.data for a in arrays), n, size, 0.0,
-                *(a.ctypes.data for a in block),
-                below=self._below.ctypes.data, slot=self._slot.ctypes.data)
+                *(a.ctypes.data for a in block), bucket=self._bucket.ctypes.data,
+                band=self._band.ctypes.data, slot=self._slot.ctypes.data)
             self._market_ref = ctypes.byref(self._market)
             self._update_agent = partial(lib.socm_update, self._market_ref)
         self.recompute_all()
@@ -268,6 +273,21 @@ class MarketEngine:
             getattr(self, slot)[...] = getattr(snap, field)
         self._build_tree()
         self.touched_last = self.n  # profit recomputations in the last update
+
+    def _bind_grid(self, f0):
+        """Bind the threshold grid f0 (a float64 array) to the kernel: its
+        sorted order, the sorted thresholds with a NaN as -inf (below which
+        no profit lies either), their bands and the per-bucket counts."""
+        k = len(f0)
+        key = np.where(np.isnan(f0), -np.inf, f0)
+        self._order = np.argsort(key, kind="stable").astype(np.int32)
+        self._sorted_f0 = key[self._order]
+        self._lo, self._hi = np.empty((2, k))
+        self._hist = np.empty(k + 1, dtype=np.int32)
+        m = self._market
+        m.nf0 = k
+        for name in ("order", "sorted_f0", "lo", "hi", "hist"):
+            setattr(m, name, getattr(self, "_" + name).ctypes.data)
 
     def _build_tree(self):
         """Rebuild the loser tree from the profits (incremental engine)."""
@@ -481,6 +501,9 @@ class RunRecord:
             header = None
             while True:
                 line = fh.readline().decode()
+                if not line.endswith("\n"):
+                    raise ValueError(f"{path}: the record ends inside its header, "
+                                     "with no complete column line")
                 if line.startswith("#"):
                     parts = line[1:].split()
                     meta[parts[0]] = parts[1:]
@@ -534,19 +557,24 @@ _CKPT_HEAD = struct.Struct("<8sQQdd16s16sII")
 def save_checkpoint(path, t, prices, rng, psum, renorm_level):
     """Write the _CKPT_HEAD header and the prices to path + ".tmp", then
     move it over path, so a crash mid-write leaves the previous checkpoint
-    intact."""
+    intact; a write or move that raises removes the temporary file."""
     state = rng.bit_generator.state
     if state["bit_generator"] != "PCG64":
         raise ValueError("checkpoints support the PCG64 generator only")
     p = np.asarray(prices, dtype="<f8")
     pcg = state["state"]
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(_CKPT_HEAD.pack(
-            _CKPT_MAGIC, t, len(p), psum, renorm_level, pcg["state"].to_bytes(16, "little"),
-            pcg["inc"].to_bytes(16, "little"), state["has_uint32"], state["uinteger"]))
-        fh.write(p.tobytes())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CKPT_HEAD.pack(
+                _CKPT_MAGIC, t, len(p), psum, renorm_level, pcg["state"].to_bytes(16, "little"),
+                pcg["inc"].to_bytes(16, "little"), state["has_uint32"], state["uinteger"]))
+            fh.write(p.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path):
@@ -640,10 +668,12 @@ class Simulation:
 
         The incremental engine runs each block in the kernel
         (_kernel.c, socm_advance) over the engine's struct and buffers,
-        which returns early when the prices need renormalising and counts
-        the activity at every step over a kept list of the low profits; the
-        full engine runs it in _full_block and counts with numpy.  Both
-        give the same counts.
+        which returns early when the prices need renormalising.  It counts
+        the activity at every step from per-agent buckets over the sorted
+        thresholds (MarketEngine._bind_grid): a count per bucket, plus a
+        compare of the few profits that lie inside a threshold's band; the
+        full engine runs each block in _full_block and counts with numpy.
+        Both give the same counts.
 
         Returns per-step arrays (loser, min_profit, mean_price,
         renorm_flags, activity or None) and the last cut eta.
@@ -660,8 +690,8 @@ class Simulation:
         if eng.incremental:
             block = self._kernel_block
             market.eta_max, market.level = self.config.eta_max, self._renorm_level
-            market.nf0 = 0 if f0 is None else len(f0)
-            market.f0 = None if f0 is None else f0.ctypes.data
+            if f0 is not None:
+                eng._bind_grid(f0)
         if not checkpoint_path:
             checkpoint_every = 0
         t, k, eta = self._t, 0, None

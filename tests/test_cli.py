@@ -366,6 +366,18 @@ dir = {out}
         csv = (tmp_path / "w" / "jump_cumulative.csv").read_text().splitlines()
         assert csv[0] == f"# config_hash {config_hash} seed {seed}"
 
+    def test_record_cut_before_its_column_line(self, tmp_path, capsys):
+        net = sm.build_ring(20)
+        cfg = sm.SimConfig(total_steps=20, transient_steps=0, seed=1)
+        record = tmp_path / "run.txt"
+        sm.run(net, sm.assign_weights_fixed(net, 0.4), cfg).save_text(record)
+        data = record.read_bytes()
+        record.write_bytes(data[:data.index(b"\nt loser_idx ") + 1])
+        assert cli.main(["walk-stats", "--run", str(record), "--out", str(tmp_path / "w")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {record}: the record ends inside its header, "
+                       "with no complete column line\n")
+
 
 class TestAvalancheStats:
     def test_absolute_threshold_path(self, tmp_path):

@@ -679,8 +679,8 @@ class TestGridCount:
     def test_nan_least_profit_does_not_skip_the_count(self):
         net = sm.build_ring(30)
         profit = np.linspace(-1.0, 1.0, 30)
-        # the first is the loser tree's root, as np.argmin; a NaN is a
-        # candidate of the kernel's count, but below no threshold
+        # the first is the loser tree's root, as np.argmin; a NaN is in the
+        # kernel's last bucket, below no threshold
         profit[[3, 20]] = np.nan
         for engine in ("incremental", "full"):
             sim = self.at_equal_prices(net, engine)
@@ -717,9 +717,10 @@ class TestGridCount:
 
 
 class TestCandidateCount:
-    """The kernel counts the activity over a list of candidate profits,
-    listed anew on entry and whenever the mean price falls past a slack;
-    its counts must equal the full engine's numpy count bit for bit."""
+    """The kernel counts the activity from per-agent threshold buckets and
+    a list of the profits inside a threshold's band, bucketed anew on entry
+    and whenever the mean price falls past a slack; its counts must equal
+    the full engine's numpy count bit for bit."""
 
     MIXED = [-0.3, -0.004, -0.002, 0.0, 0.004, 0.3]
 
@@ -737,7 +738,7 @@ class TestCandidateCount:
                              ids=["mixed", "positive", "negative", "empty"])
     def test_mean_price_falls_past_the_slack_within_a_block(self, grid):
         # cuts of up to 90 % move the mean price of a ring of 6 past the
-        # candidates' slack at almost every step, and renormalise it often
+        # bands' slack at almost every step, and renormalise it often
         net = sm.build_ring(6)
         wts = sm.assign_weights_uniform(net, np.random.default_rng(1))
         cfg = sm.SimConfig(total_steps=3000, transient_steps=0, seed=3, eta_max=0.9)
@@ -748,7 +749,10 @@ class TestCandidateCount:
         got = self.counts(net, wts, cfg, grid, "incremental")
         assert np.array_equal(got, self.counts(net, wts, cfg, grid, "full"))
 
-    @pytest.mark.parametrize("f0", [MIXED, -0.004], ids=["grid", "scalar"])
+    # the 32-threshold grid spans the profits, about -0.4 to 0 times the
+    # mean price here, so its last row holds 22 different counts
+    @pytest.mark.parametrize("f0", [MIXED, -0.004, np.linspace(-0.45, 0.01, 32)],
+                             ids=["grid", "scalar", "grid32"])
     def test_renormalisation_mid_block(self, f0):
         net, wts = rt_lattice(16)
         cfg = sm.SimConfig(total_steps=1500, transient_steps=0, seed=4, price_floor=0.4)
@@ -762,24 +766,68 @@ class TestCandidateCount:
         assert np.array_equal(recs[0].activity, recs[1].activity)
         assert np.array_equal(recs[0].loser_index, recs[1].loser_index)
 
-    def test_candidates_are_the_profits_not_above_the_bound(self):
-        # after chunks that end mid-block, below[:nbelow] lists each agent
-        # whose profit is not >= bound once, and slot is its place there
+    def test_buckets_and_band_list_match_a_recount(self):
+        # profits planted inside the bands (two of which overlap), on a band's
+        # lower edge (equal to its threshold at the first step) and a NaN,
+        # then chunks that end mid-block: each agent's bucket is the count
+        # of sorted thresholds whose band top its profit is not below (nf0
+        # for a NaN or a profit >= bound), hist counts the agents of each
+        # bucket that lie below the next band, and the band list holds the
+        # others once each, with slot their place there
         net, wts = rt_lattice()
         cfg = sm.SimConfig(total_steps=20_000, transient_steps=0, seed=7)
         sim = sm.Simulation(net, wts, cfg)
+        eng, kernel = sim.engine, sim.engine._market
+        grid = np.array([-0.004, -0.006, -0.0045, -0.004, -0.0040025])
+        k, members = len(grid), 0
         for chunk in (1, 2, 1023, 1025, 5000, 12_949):
-            sim._advance(chunk, [-0.006, -0.004])
-            eng = sim.engine
-            below, slot, kernel = eng._below, eng._slot, eng._market
-            listed = below[:kernel.nbelow]
-            expected = np.flatnonzero(~(eng.profit >= kernel.bound))
-            assert 0 < len(listed) < net.n_agents and sorted(listed) == expected.tolist()
-            assert np.array_equal(slot[listed], np.arange(len(listed)))
-            assert np.count_nonzero(slot >= 0) == len(listed)
+            mp = eng.psum / eng.n
+            planted = eng.profit.copy()
+            planted[::50] = mp * np.resize([-0.0059997, -0.003999, -0.0044998, np.nan, -0.006], 21)
+            eng.profit = planted
+            act = sim._advance(chunk, grid)[4]
+            assert act[0].tolist() == [np.count_nonzero(planted < f * mp) for f in grid]
+            members = max(members, kernel.nband)
+            assert np.array_equal(grid[eng._order], eng._sorted_f0)
+            assert np.all(np.diff(eng._sorted_f0) >= 0)
+            lo, hi, profit = eng._lo, eng._hi, eng.profit
+            assert np.all(np.diff(lo) >= 0) and np.all(np.diff(hi) >= 0)
+            assert np.all(lo <= hi) and kernel.bound == hi[-1]
+            bucket = np.where(profit < kernel.bound,
+                              np.searchsorted(hi, profit, side="right"), k)
+            banded = (bucket < k) & (profit >= lo[np.minimum(bucket, k - 1)])
+            assert np.array_equal(eng._bucket, bucket)
+            assert np.array_equal(eng._hist, np.bincount(bucket[~banded], minlength=k + 1))
+            band = eng._band[:kernel.nband]
+            assert sorted(band) == np.flatnonzero(banded).tolist()
+            assert np.array_equal(eng._slot[band], np.arange(len(band)))
+            assert np.count_nonzero(eng._slot >= 0) == len(band)
+            assert 0 < eng._hist[:k].sum() < net.n_agents
+        assert members >= 15
+
+    @pytest.mark.parametrize("grid", [
+        [0.004, -0.3, -0.004, -0.004, 0.0],
+        [-np.inf, -0.004, np.inf, 0.0, np.nan, -0.002]], ids=["unsorted", "infinite"])
+    def test_unsorted_and_infinite_grids(self, grid):
+        # a repeated threshold, mixed signs, thresholds out of order, +-inf
+        # and a NaN, over chunks that end mid-block
+        net, wts = rt_lattice()
+        cfg = sm.SimConfig(total_steps=2500, transient_steps=0, seed=6)
+        got = self.counts(net, wts, cfg, grid, "incremental", 700)
+        assert np.array_equal(got, self.counts(net, wts, cfg, grid, "full"))
+        assert len(np.unique(got[:, grid.index(-0.004)])) > 10
+
+    def test_fresh_rt100_lattice(self):
+        # about 3 000 of the 10 000 profits lie below the grid at the start
+        net, wts = rt_lattice(100)
+        cfg = sm.SimConfig(total_steps=300, transient_steps=0, seed=5)
+        grid = -0.005 * np.asarray(sm.analysis.THRESHOLD_GRID_UNITS)
+        got = self.counts(net, wts, cfg, grid, "incremental")
+        assert np.array_equal(got, self.counts(net, wts, cfg, grid, "full"))
+        assert got[0, -1] > 2000
 
     def test_simulations_in_alternating_blocks_count_as_each_alone(self):
-        # each Simulation keeps its own candidates: two advanced in turns,
+        # each Simulation keeps its own buckets: two advanced in turns,
         # in chunks that end mid-block, count as each does alone
         net, wts = rt_lattice()
         cfgs = [sm.SimConfig(total_steps=3000, transient_steps=0, seed=s) for s in (1, 2)]
@@ -795,6 +843,20 @@ class TestCandidateCount:
 
 
 class TestRecordSerialization:
+    # the record ends before its column line, inside it, or inside a line
+    # before it
+    @pytest.mark.parametrize("cut", [1, 8, -3], ids=["before", "inside", "meta"])
+    def test_record_cut_in_its_header_is_refused(self, tmp_path, cut):
+        net = sm.build_ring(10)
+        cfg = sm.SimConfig(total_steps=20, transient_steps=0, seed=1)
+        path = tmp_path / "run.txt"
+        sm.run(net, sm.assign_weights_fixed(net, 0.4), cfg).save_text(path)
+        data = path.read_bytes()
+        path.write_bytes(data[:data.index(b"\nt loser_idx ") + cut])
+        message = f"{path}: the record ends inside its header, with no complete column line"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sm.RunRecord.load_text(path)
+
     def test_text_roundtrip(self, tmp_path):
         net, wts, cfg = small_setup()
         rec = sm.run(net, wts, cfg, activity_f0=-0.004)
@@ -1087,6 +1149,8 @@ class TestCheckpointResume:
         t, p, _, psum, _ = sm.load_checkpoint(path)
         assert (t, psum) == (7, 40.0)
         assert np.array_equal(p, np.full(4, 10.0))
+        # and leaves no temporary file behind
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["c.bin"]
 
     def test_truncated_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "c.bin"
