@@ -1,10 +1,12 @@
 """Check the reference commands' outputs against their recorded digests.
 
-Runs the eight reference commands in a temporary directory, in order: the
-four `configs/*.ini` commands; `avalanche-stats --f0-quantile 0.01` on
-`rt_lattice_avalanches.ini`; `run` on `rt_walk.ini` (a 2-D record and its
-checkpoint) and `walk-stats --run` on the record it wrote; and `run` on
-`ring_decay.ini` (a 1-D record).  It hashes every file they write (keyed by
+Runs the ten reference commands in a temporary directory, in order: the
+four `configs/*.ini` commands; `avalanche-stats` on
+`rt_lattice_avalanches.ini` with `--f0-quantile 0.01`, with `--f0 -0.0047`
+and with `--f0 -1` (which finds no avalanches and falls back to a scan);
+`run` on `rt_walk.ini` (a 2-D record and its checkpoint) and `walk-stats
+--run` on the record it wrote; and `run` on `ring_decay.ini` (a 1-D
+record).  It hashes every file they write (keyed by
 its path under `out/`), and each command's stdout with its exit code
 appended (`out_<name>.stdout`) and its stderr (`out_<name>.stderr`), and
 compares the digests with `reference_outputs.json` beside this script.
@@ -33,6 +35,10 @@ COMMANDS = {
     "er_avalanches": ["avalanche-stats", "--config", "configs/er_avalanches.ini"],
     "rt_quantile": ["avalanche-stats", "--config", "configs/rt_lattice_avalanches.ini",
                     "--f0-quantile", "0.01", "--out", "out/rt_quantile"],
+    "rt_f0": ["avalanche-stats", "--config", "configs/rt_lattice_avalanches.ini",
+              "--f0", "-0.0047", "--out", "out/rt_f0"],
+    "rt_f0_fallback": ["avalanche-stats", "--config", "configs/rt_lattice_avalanches.ini",
+                       "--f0", "-1", "--out", "out/rt_f0_fallback"],
     "rt_run": ["run", "--config", "configs/rt_walk.ini", "--out", "out/rt_run"],
     "rt_walk_run": ["walk-stats", "--run", "out/rt_run/run_seed5.txt",
                     "--out", "out/rt_walk_run"],
