@@ -25,6 +25,7 @@ MFBP_TAU_S = 1.5
 # the fewest avalanche events that threshold_scan fits and gamma_st takes by
 # default, and below which avalanche-stats warns
 MIN_EVENTS = 1000
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 # ----------------------------------------------------------------------
@@ -112,27 +113,96 @@ def extract_avalanches(y):
     Size is the summed activity over the segment, duration its length.
     Partial segments touching either end of the signal are discarded.
     """
-    return [AvalancheEvent(int(s), int(t)) for s, t in zip(*_avalanche_arrays(y))]
+    avalanches = Avalanches()
+    avalanches.add(np.asarray(y))
+    return _events(*avalanches.arrays())
 
 
-def _avalanche_arrays(y):
-    """The sizes and durations of extract_avalanches' events, as two int64
-    arrays."""
-    y = np.asarray(y)
-    if y.size == 0:
-        return np.zeros((2, 0), dtype=np.int64)
-    active = y > 0
-    flips = np.diff(active.astype(np.int8))
-    starts = np.flatnonzero(flips == 1) + 1
-    ends = np.flatnonzero(flips == -1) + 1
-    if active[0] and ends.size:
-        ends = ends[1:]  # leading segment has no observed start
-    if active[-1] and starts.size:
-        starts = starts[:-1]  # trailing segment has no observed end
-    n = min(starts.size, ends.size)
-    starts, ends = starts[:n], ends[:n]
-    csum = np.concatenate([[0], np.cumsum(y, dtype=np.int64)])
-    return csum[ends] - csum[starts], (ends - starts).astype(np.int64)
+def _events(sizes, durations):
+    """AvalancheEvents from arrays of sizes and durations."""
+    return [AvalancheEvent(s, t) for s, t in zip(sizes.tolist(), durations.tolist())]
+
+
+class Avalanches:
+    """The avalanches of n_signals activity signals read in consecutive
+    chunks of steps, as extract_avalanches finds them in each whole signal.
+
+    Each signal carries its open segment across chunk edges: its size, its
+    duration, and whether it began inside the window.  The segment open at
+    the window's first step began before it, so it is discarded, as is the
+    one still open at the end.  Only the closed segments are kept, as int64
+    arrays, and the zero steps are counted; the signals are counts (>= 0).
+    """
+
+    def __init__(self, n_signals=1):
+        self.steps = 0
+        self.zeros = [0] * n_signals
+        # per signal: whether the last step read was active, and the open
+        # segment's start inside the window, size and duration; before the
+        # first step a segment begun outside the window is open
+        self._open = [(True, False, 0, 0)] * n_signals
+        self._sizes = [[] for _ in range(n_signals)]
+        self._durations = [[] for _ in range(n_signals)]
+
+    def add(self, rows):
+        """Read the next len(rows) steps: an array of (steps, n_signals)
+        counts, or of (steps,) for one signal."""
+        m = len(rows)
+        if m == 0:
+            return
+        rows = rows.reshape(m, -1)
+        self.steps += m
+        for k in range(len(self._open)):
+            self._read(k, rows[:, k])
+
+    def _read(self, k, y):
+        """Read signal k's next steps y (not empty)."""
+        active = y > 0
+        m = len(y)
+        self.zeros[k] += m - int(np.count_nonzero(active))
+        # the chunk's segments, active and quiet in turn, and the active ones
+        bounds = np.concatenate(([0], np.flatnonzero(active[1:] != active[:-1]) + 1, [m]))
+        first = 0 if active[0] else 1
+        starts, ends = bounds[first:-1:2], bounds[first + 1::2]
+        csum = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(y, dtype=np.int64, out=csum[1:])
+        sizes, durations = csum[ends] - csum[starts], ends - starts
+        was_active, inside, size, duration = self._open[k]
+        if was_active and active[0]:  # the first segment continues the open one
+            sizes[0] += size
+            durations[0] += duration
+        else:
+            if was_active and inside:  # the open segment ended at the last step
+                self._sizes[k].append(np.array([size]))
+                self._durations[k].append(np.array([duration]))
+            inside = True
+        # inside: whether the first segment began inside the window
+        if active[-1]:  # the last segment stays open
+            self._open[k] = (True, inside or len(sizes) > 1,
+                             int(sizes[-1]), int(durations[-1]))
+            sizes, durations = sizes[:-1], durations[:-1]
+        else:
+            self._open[k] = (False, True, 0, 0)
+        if not inside and sizes.size:
+            sizes, durations = sizes[1:], durations[1:]
+        if sizes.size:
+            # kept as int32 while they fit (no duration exceeds its size),
+            # which halves them until arrays()
+            dtype = np.int32 if sizes.max() <= _INT32_MAX else np.int64
+            self._sizes[k].append(sizes.astype(dtype))
+            self._durations[k].append(durations.astype(dtype))
+
+    def arrays(self, k=0):
+        """Signal k's closed avalanches: (sizes, durations), two int64
+        arrays in the order they ended."""
+        for parts in (self._sizes[k], self._durations[k]):
+            # one int64 array in place of the parts, so none is held twice
+            parts[:] = [np.concatenate(parts or [np.zeros(0, dtype=np.int64)], dtype=np.int64)]
+        return self._sizes[k][0], self._durations[k][0]
+
+    def zero_fraction(self, k=0):
+        """The fraction of the steps read where signal k is 0."""
+        return self.zeros[k] / self.steps
 
 
 # ----------------------------------------------------------------------
@@ -289,10 +359,14 @@ def avalanche_exponents(events, size_range=DEFAULT_SIZE_RANGE,
     return out
 
 
-def _advance_to(sim, t, chunk=8192):
+# steps per _advance call where an analysis keeps no per-step arrays
+_CHUNK = 8192
+
+
+def _advance_to(sim, t):
     """Step sim up to step t, dropping the per-step arrays chunk by chunk."""
     while sim.t < t:
-        sim._advance(min(t - sim.t, chunk))
+        sim._advance(min(t - sim.t, _CHUNK))
 
 
 def track_activity(sim, thresholds):
@@ -324,17 +398,28 @@ class ThresholdScanEntry:
 
 @dataclass
 class ThresholdScan:
+    """A threshold scan's entries and its pick, best (an index into the
+    grid, or None), with each threshold's avalanches: sizes[k] and
+    durations[k] are int64 arrays.  activity is the (post-transient steps,
+    n_thresholds) int32 counts, or None when the scan did not keep them."""
     entries: list
-    activity: np.ndarray  # (post-transient steps, n_thresholds)
+    activity: Optional[np.ndarray]
     best: Optional[int]
+    sizes: list
+    durations: list
 
     @property
     def best_entry(self):
         return None if self.best is None else self.entries[self.best]
 
+    def events(self, k):
+        """Threshold k's avalanches as AvalancheEvents."""
+        return _events(self.sizes[k], self.durations[k])
+
 
 def threshold_scan(net, wts, config, f0_grid=None, engine="incremental",
-                   size_range=DEFAULT_SIZE_RANGE, min_events=MIN_EVENTS):
+                   size_range=DEFAULT_SIZE_RANGE, min_events=MIN_EVENTS,
+                   keep_activity=True):
     """Locate the critical activity threshold.
 
     Runs once, tracking activity on a grid of thresholds after the
@@ -343,6 +428,10 @@ def threshold_scan(net, wts, config, f0_grid=None, engine="incremental",
     among thresholds with enough events and a quiescent fraction.  Below
     the critical point the distribution bends steep and short; above it,
     quiescence disappears.
+
+    The activity is counted in chunks of _CHUNK steps, each read into one
+    Avalanches and then dropped, so without keep_activity the memory
+    follows the avalanches, not the steps.
     """
     from .dynamics import Simulation
 
@@ -351,29 +440,40 @@ def threshold_scan(net, wts, config, f0_grid=None, engine="incremental",
     f0_grid = np.asarray(f0_grid, dtype=np.float64)
     sim = Simulation(net, wts, config, engine=engine)
     _advance_to(sim, config.transient_steps)
-    counts = track_activity(sim, f0_grid)
+    total = config.total_steps
+    activity = (np.empty((total - sim.t, len(f0_grid)), dtype=np.int32)
+                if keep_activity else None)
+    avalanches = Avalanches(len(f0_grid))
+    while sim.t < total:
+        rows = sim._advance(min(total - sim.t, _CHUNK), f0_grid)[4]
+        if keep_activity:
+            activity[avalanches.steps:avalanches.steps + len(rows)] = rows
+        avalanches.add(rows)
+        del rows  # before the next chunk's rows are made
     # free the engine and its update plan before the per-threshold analysis
     del sim
-    entries = []
+    entries, sizes, durations = [], [], []
     for k, f0 in enumerate(f0_grid):
-        y = counts[:, k]
-        sizes, _ = _avalanche_arrays(y)
+        size, duration = avalanches.arrays(k)
+        sizes.append(size)
+        durations.append(duration)
         entry = ThresholdScanEntry(
-            f0=float(f0), n_events=len(sizes),
-            zero_fraction=float(np.mean(y == 0)), tau_s=None)
-        if len(sizes) < min_events:
+            f0=float(f0), n_events=len(size),
+            zero_fraction=avalanches.zero_fraction(k), tau_s=None)
+        if len(size) < min_events:
             entry.note = "too few events"
         elif entry.zero_fraction < 1e-3:
             entry.note = "no quiescence"
         else:
             try:
-                entry.tau_s = fit_power_law(log_bin(sizes), size_range)
+                entry.tau_s = fit_power_law(log_bin(size), size_range)
             except FitDomainError as exc:
                 entry.note = str(exc)
         entries.append(entry)
     eligible = [k for k, e in enumerate(entries) if e.tau_s is not None]
     best = max(eligible, key=lambda k: entries[k].tau_s.r_squared, default=None)
-    return ThresholdScan(entries=entries, activity=counts, best=best)
+    return ThresholdScan(entries=entries, activity=activity, best=best,
+                         sizes=sizes, durations=durations)
 
 
 # ----------------------------------------------------------------------
@@ -527,10 +627,11 @@ def stationary_profit_quantile(sim, q, n_snapshots=200):
     """
     cfg = sim.config
     span = cfg.total_steps - cfg.transient_steps
-    stride = max(1, span // n_snapshots)
-    samples = []
+    steps = range(cfg.transient_steps, cfg.total_steps, max(1, span // n_snapshots))
     eng = sim.engine
-    for t in range(cfg.transient_steps, cfg.total_steps, stride):
+    # one row per sample, taken whole by the quantile
+    samples = np.empty((len(steps), eng.n))
+    for row, t in zip(samples, steps):
         _advance_to(sim, t)  # the profits and mean price step t sees
-        samples.append(eng.profit / (eng.psum / eng.n))
-    return float(np.quantile(np.concatenate(samples), q))
+        np.divide(eng.profit, eng.psum / eng.n, out=row)
+    return float(np.quantile(samples.reshape(-1), q, overwrite_input=True))

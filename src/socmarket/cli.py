@@ -219,16 +219,21 @@ def _write_csv(path, header, columns, meta=""):
 # ----------------------------------------------------------------------
 # commands
 
+def _threshold_scan(ecfg, net, wts, sim_cfg, f0_grid=None):
+    """The post-transient scan on f0_grid (the critical-threshold grid
+    when None), keeping each threshold's avalanches, not its activity."""
+    return analysis.threshold_scan(
+        net, wts, sim_cfg, f0_grid=f0_grid, engine=ecfg.engine,
+        size_range=(ecfg.fit_min, ecfg.fit_max), keep_activity=False)
+
+
 def _scan_for_threshold(ecfg, net, wts, sim_cfg):
-    """Critical-threshold scan; returns (f0, mode, post-transient activity)."""
-    scan = analysis.threshold_scan(
-        net, wts, sim_cfg, engine=ecfg.engine,
-        size_range=(ecfg.fit_min, ecfg.fit_max))
+    """Critical-threshold scan; returns (f0, mode, its avalanche events)."""
+    scan = _threshold_scan(ecfg, net, wts, sim_cfg)
     if scan.best is None:
         notes = "; ".join(f"{e.f0:.4g}: {e.note}" for e in scan.entries)
         raise ConfigError(f"no usable activity threshold found ({notes})")
-    entry = scan.best_entry
-    return entry.f0, "scan", scan.activity[:, scan.best]
+    return scan.best_entry.f0, "scan", scan.events(scan.best)
 
 
 def _configured_f0(ecfg, net, wts, sim_cfg):
@@ -343,21 +348,18 @@ def cmd_avalanche_stats(ecfg, args):
         if record.activity is None:
             raise ConfigError(f"{args.run} carries no activity column")
         f0, f0_mode = record.activity_f0, "recorded"
-        y = record.post(record.activity)
+        events = analysis.extract_avalanches(record.post(record.activity))
         config_hash, seed = _provenance(ecfg, args, record)
     else:
         config_hash, seed = ecfg.digest(), ecfg.sim.seed
         net, wts, sim_cfg = build_experiment(ecfg, ecfg.sim.seed)
         f0, f0_mode = _configured_f0(ecfg, net, wts, sim_cfg)
         if f0 is None:
-            f0, f0_mode, y = _scan_for_threshold(ecfg, net, wts, sim_cfg)
+            f0, f0_mode, events = _scan_for_threshold(ecfg, net, wts, sim_cfg)
         else:
-            record = dynamics.Simulation(net, wts, sim_cfg, engine=ecfg.engine).run(
-                activity_f0=f0)
-            y = record.post(record.activity)
+            events = _threshold_scan(ecfg, net, wts, sim_cfg, [f0]).events(0)
     out = Path(ecfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    events = analysis.extract_avalanches(y)
     if len(events) == 0 and not args.run and ecfg.f0 is not None:
         # documented fallback: the absolute threshold missed the stationary
         # profit range (its scale depends on the rescaling convention), so
@@ -365,9 +367,8 @@ def cmd_avalanche_stats(ecfg, args):
         warnings.warn("absolute f0 produced no avalanches; falling back to "
                       "a critical-threshold scan",
                       StatisticsWarning, stacklevel=2)
-        f0, f0_mode, y = _scan_for_threshold(ecfg, net, wts, sim_cfg)
+        f0, _, events = _scan_for_threshold(ecfg, net, wts, sim_cfg)
         f0_mode = "scan (fallback)"
-        events = analysis.extract_avalanches(y)
     if len(events) < analysis.MIN_EVENTS:
         warnings.warn(f"only {len(events)} avalanche events (< {analysis.MIN_EVENTS})",
                       StatisticsWarning, stacklevel=2)

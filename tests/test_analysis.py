@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import socmarket as sm
+from socmarket import analysis
 from socmarket.analysis import _linregress
 from socmarket.errors import FitDomainError, StatisticsWarning
 
@@ -87,6 +90,128 @@ class TestExtractAvalanches:
         y = rng.integers(0, 3, size=2000)
         for e in sm.extract_avalanches(y):
             assert e.size >= e.duration >= 1
+
+
+def whole_signal_arrays(y):
+    """The avalanches of the whole signal y, found in one numpy pass: the
+    reference the chunked Avalanches must match."""
+    y = np.asarray(y)
+    if y.size == 0:
+        return np.zeros((2, 0), dtype=np.int64)
+    active = y > 0
+    flips = np.diff(active.astype(np.int8))
+    starts = np.flatnonzero(flips == 1) + 1
+    ends = np.flatnonzero(flips == -1) + 1
+    if active[0] and ends.size:
+        ends = ends[1:]  # leading segment has no observed start
+    if active[-1] and starts.size:
+        starts = starts[:-1]  # trailing segment has no observed end
+    n = min(starts.size, ends.size)
+    starts, ends = starts[:n], ends[:n]
+    csum = np.concatenate([[0], np.cumsum(y, dtype=np.int64)])
+    return csum[ends] - csum[starts], (ends - starts).astype(np.int64)
+
+
+def read_in_chunks(rows, chunk):
+    """An Avalanches fed rows (steps, K) chunk steps at a time."""
+    rows = np.asarray(rows)
+    avalanches = analysis.Avalanches(1 if rows.ndim == 1 else rows.shape[1])
+    for i in range(0, len(rows), chunk):
+        avalanches.add(rows[i:i + chunk])
+    return avalanches
+
+
+def assert_matches_whole_signal(avalanches, rows):
+    """Each signal's sizes, durations and zero fraction are the whole
+    signal's, bit for bit."""
+    rows = np.asarray(rows).reshape(len(rows), -1)
+    assert avalanches.steps == len(rows)
+    for k in range(rows.shape[1]):
+        sizes, durations = avalanches.arrays(k)
+        want_sizes, want_durations = whole_signal_arrays(rows[:, k])
+        assert sizes.dtype == durations.dtype == np.int64
+        assert sizes.tolist() == want_sizes.tolist()
+        assert durations.tolist() == want_durations.tolist()
+        if len(rows):
+            assert avalanches.zero_fraction(k) == np.mean(rows[:, k] == 0)
+
+
+def bursty_signal(rng, steps, k, mean_quiet, mean_active):
+    """(steps, k) int32 counts: quiet and active stretches of geometric
+    lengths, an active step counting 1 to 9."""
+    out = np.zeros((steps, k), dtype=np.int32)
+    for col in out.T:
+        t, active = 0, bool(rng.random() < 0.5)
+        while t < steps:
+            n = int(rng.geometric(1.0 / (mean_active if active else mean_quiet)))
+            if active:
+                col[t:t + n] = rng.integers(1, 10, size=len(col[t:t + n]))
+            t, active = t + n, not active
+    return out
+
+
+class TestAvalanches:
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 8192, 30001])
+    def test_chunk_sizes(self, rng, chunk):
+        # 30001 is longer than the run, which is then one chunk
+        steps = 20000 if chunk >= 7 else 3000
+        rows = bursty_signal(rng, steps, 3, 4.0, 6.0)
+        rows[:, 2] = (rng.random(steps) < 0.5) * rng.integers(1, 4, size=steps)
+        assert_matches_whole_signal(read_in_chunks(rows, chunk), rows)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_avalanches_spanning_chunks(self, rng, chunk):
+        rows = bursty_signal(rng, 6000, 2, 30.0, 300.0)
+        avalanches = read_in_chunks(rows, chunk)
+        assert_matches_whole_signal(avalanches, rows)
+        # some avalanche spans at least three chunk edges
+        assert max(avalanches.arrays(k)[1].max() for k in range(2)) > 3 * chunk
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 9, 10])
+    def test_active_at_the_window_start_and_end(self, chunk):
+        y = np.array([3, 1, 0, 2, 2, 0, 0, 4, 1], dtype=np.int32)
+        avalanches = read_in_chunks(y, chunk)
+        assert [a.tolist() for a in avalanches.arrays()] == [[4], [2]]
+        assert_matches_whole_signal(avalanches, y)
+        # active throughout but for one quiet step: two partial segments
+        y = np.array([2, 2, 2, 0, 5, 5], dtype=np.int32)
+        assert [a.tolist() for a in read_in_chunks(y, chunk).arrays()] == [[], []]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000])
+    def test_all_zero_and_all_active(self, chunk):
+        rows = np.zeros((700, 2), dtype=np.int32)
+        rows[:, 1] = 3
+        avalanches = read_in_chunks(rows, chunk)
+        assert_matches_whole_signal(avalanches, rows)
+        assert [avalanches.zero_fraction(k) for k in (0, 1)] == [1.0, 0.0]
+        assert [len(avalanches.arrays(k)[0]) for k in (0, 1)] == [0, 0]
+
+    def test_no_steps(self):
+        avalanches = analysis.Avalanches(2)
+        avalanches.add(np.zeros((0, 2), dtype=np.int32))
+        assert avalanches.steps == 0
+        assert [a.tolist() for a in avalanches.arrays(1)] == [[], []]
+
+    def test_zero_fraction_is_the_mean(self, rng):
+        # lengths whose fractions do not round exactly
+        for steps in (3, 7, 49, 1001, 8193, 30011):
+            rows = (rng.random((steps, 2)) < [0.3, 0.9]) * np.int32(2)
+            for chunk in (5, 8192):
+                avalanches = read_in_chunks(rows, chunk)
+                for k in (0, 1):
+                    assert avalanches.zero_fraction(k) == float(np.mean(rows[:, k] == 0))
+
+    def test_arrays_twice(self, rng):
+        rows = bursty_signal(rng, 2000, 1, 5.0, 5.0)
+        avalanches = read_in_chunks(rows, 100)
+        first = [a.copy() for a in avalanches.arrays()]
+        assert all(np.array_equal(a, b) for a, b in zip(first, avalanches.arrays()))
+
+    def test_sizes_past_int32_are_kept(self):
+        # one avalanche whose size does not fit an int32
+        y = np.array([0, 2 ** 31 - 1, 2 ** 31 - 1, 0, 1, 0], dtype=np.int64)
+        avalanches = read_in_chunks(y, 2)
+        assert [a.tolist() for a in avalanches.arrays()] == [[2 ** 32 - 2, 1], [2, 1]]
 
 
 class TestLogBin:
@@ -383,6 +508,70 @@ class TestThresholdScan:
         full = sm.track_activity(sm.Simulation(net, wts, cfg), grid)
         assert np.array_equal(a.activity, full[cfg.transient_steps:])
 
+    @pytest.mark.parametrize("engine", sm.dynamics.ENGINES)
+    def test_scan_chunks_match_one_pass(self, monkeypatch, engine):
+        # a grid with NaN, -inf, +inf and a repeated threshold, tracked in
+        # 700-step chunks, which end inside the engine's 1024-step blocks
+        net = sm.build_corner_lattice(8, "rt")
+        wts = sm.assign_weights_fixed(net, 0.25)
+        cfg = sm.SimConfig(total_steps=3300, transient_steps=450, seed=5)
+        grid = [np.nan, -0.004, -np.inf, -0.005, -0.004, np.inf, 0.0]
+        monkeypatch.setattr(analysis, "_CHUNK", 700)
+        scans = [sm.threshold_scan(net, wts, cfg, f0_grid=grid, engine=engine,
+                                   min_events=5, keep_activity=keep)
+                 for keep in (True, False)]
+        full = sm.track_activity(sm.Simulation(net, wts, cfg, engine=engine), grid)
+        rows = full[cfg.transient_steps:]
+        assert np.array_equal(scans[0].activity, rows)
+        assert scans[1].activity is None
+        assert rows[:, 3].any() and not rows[:, 3].all()
+        for scan in scans:
+            for k, entry in enumerate(scan.entries):
+                sizes, durations = whole_signal_arrays(rows[:, k])
+                assert scan.sizes[k].tolist() == sizes.tolist()
+                assert scan.durations[k].tolist() == durations.tolist()
+                assert entry.n_events == len(sizes)
+                assert entry.zero_fraction == np.mean(rows[:, k] == 0)
+                assert scan.events(k) == sm.extract_avalanches(rows[:, k])
+        assert repr(scans[0].entries) == repr(scans[1].entries)  # f0 NaN != NaN
+        assert scans[0].best == scans[1].best
+
+    def test_scan_without_activity_matches_the_default(self, monkeypatch):
+        net = sm.build_corner_lattice(16, "rt")
+        wts = sm.assign_weights_fixed(net, 0.25)
+        cfg = sm.SimConfig(total_steps=40000, transient_steps=2000, seed=3)
+        default = sm.threshold_scan(net, wts, cfg, size_range=(2, 400), min_events=100)
+        monkeypatch.setattr(analysis, "_CHUNK", 3000)
+        lean = sm.threshold_scan(net, wts, cfg, size_range=(2, 400), min_events=100,
+                                 keep_activity=False)
+        assert lean.activity is None
+        assert lean.entries == default.entries
+        assert lean.best == default.best is not None
+        for k in range(len(default.entries)):
+            assert np.array_equal(lean.sizes[k], default.sizes[k])
+            assert np.array_equal(lean.durations[k], default.durations[k])
+            sizes, durations = whole_signal_arrays(default.activity[:, k])
+            assert np.array_equal(default.sizes[k], sizes)
+            assert np.array_equal(default.durations[k], durations)
+
+    def test_scan_memory_follows_the_events(self):
+        # the scan no longer holds the (steps, 8) int32 activity: its peak
+        # stays under a quarter of that array
+        net = sm.build_corner_lattice(32, "rt")
+        wts = sm.assign_weights_fixed(net, 0.25)
+        cfg = sm.SimConfig(total_steps=200_000, transient_steps=20_000, seed=11)
+        sm.Simulation(net, wts, cfg)  # build and load the kernel outside the trace
+        tracemalloc.start()
+        try:
+            scan = sm.threshold_scan(net, wts, cfg, keep_activity=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        activity_bytes = (cfg.total_steps - cfg.transient_steps) * 8 * 4
+        assert peak < activity_bytes / 4
+        # the events themselves are most of it
+        assert sum(e.n_events for e in scan.entries) > 50_000
+
     @pytest.mark.parametrize("transient,total,n_snapshots", [
         (0, 500, 200), (0, 300, 7), (50, 400, 200), (37, 1000, 3), (9000, 9300, 20)])
     def test_quantile_samples_the_stepwise_steps(self, transient, total, n_snapshots):
@@ -407,6 +596,23 @@ class TestThresholdScan:
         # it stops at the last sample's step
         assert sim.t == last
         assert np.array_equal(sim.engine.p, last_p)
+
+    def test_quantile_is_the_concatenated_samples_quantile(self):
+        # the preallocated samples give the same double as concatenating
+        # one array per sample, on 200 samples of 1 024 profits
+        net = sm.build_corner_lattice(32, "rt")
+        wts = sm.assign_weights_fixed(net, 0.25)
+        cfg = sm.SimConfig(total_steps=22000, transient_steps=2000, seed=11)
+        ref = sm.Simulation(net, wts, cfg)
+        eng = ref.engine
+        samples = []
+        for t in range(cfg.transient_steps, cfg.total_steps, 100):
+            analysis._advance_to(ref, t)
+            samples.append(eng.profit / (eng.psum / eng.n))
+        assert len(samples) == 200
+        for q in (0.001, 0.01, 0.1, 0.5, 0.99):
+            got = sm.stationary_profit_quantile(sm.Simulation(net, wts, cfg), q)
+            assert got == float(np.quantile(np.concatenate(samples), q))
 
     def test_quantile_without_transient_samples_step_zero(self):
         # one snapshot, at step 0: the initial state

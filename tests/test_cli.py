@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import socmarket as sm
-from socmarket import cli
+from socmarket import analysis, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -391,6 +392,56 @@ class TestAvalancheStats:
         assert fits["n_events"] > 0
         assert (out / "avalanche_sizes.csv").exists()
         assert (out / "avalanche_durations.csv").exists()
+
+    def test_absolute_threshold_matches_the_recorded_run(self, tmp_path, monkeypatch):
+        # the streamed path, in 300-step chunks, finds the avalanches of the
+        # activity column that `run` records
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.ini", RING_CFG.format(out=out))
+        assert cli.main(["run", "--config", cfg]) == 0
+        assert cli.main(["avalanche-stats", "--run", str(out / "run_seed3.txt"),
+                         "--config", cfg, "--out", str(tmp_path / "rec")]) == 0
+        monkeypatch.setattr(analysis, "_CHUNK", 300)
+        assert cli.main(["avalanche-stats", "--config", cfg]) == 0
+        recorded = json.loads((tmp_path / "rec" / "avalanche_fits.json").read_text())
+        direct = json.loads((out / "avalanche_fits.json").read_text())
+        assert (recorded.pop("f0_mode"), direct.pop("f0_mode")) == ("recorded", "absolute")
+        assert recorded == direct and direct["n_events"] > 0
+        for name in ("avalanche_sizes.csv", "avalanche_durations.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "rec" / name).read_bytes()
+
+    def test_absolute_threshold_memory_follows_the_events(self, tmp_path):
+        # a 200 000-step RT32 run: the command's peak stays under a quarter
+        # of the (steps, 8) int32 activity that a scan used to hold
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.ini", f"""
+[topology]
+kind = corner
+corner = RT
+L = 32
+
+[weights]
+a = 0.25
+
+[sim]
+total_steps = 200000
+transient_steps = 20000
+seed = 11
+
+[output]
+dir = {out}
+""")
+        sm.Simulation(sm.build_ring(3), sm.assign_weights_fixed(sm.build_ring(3), 0.5),
+                      sm.SimConfig(total_steps=2, transient_steps=0))  # load the kernel
+        tracemalloc.start()
+        try:
+            assert cli.main(["avalanche-stats", "--config", cfg, "--f0", "-0.0047"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        fits = json.loads((out / "avalanche_fits.json").read_text())
+        assert fits["f0_mode"] == "absolute" and fits["n_events"] > 4000
+        assert peak < (200_000 - 20_000) * 8 * 4 / 4
 
     def test_recorded_run_path(self, tmp_path):
         out = tmp_path / "out"
