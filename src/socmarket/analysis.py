@@ -136,7 +136,7 @@ class Avalanches:
 
     def __init__(self, n_signals=1):
         self.steps = 0
-        self.zeros = [0] * n_signals
+        self._zeros = [0] * n_signals
         # per signal: whether the last step read was active, and the open
         # segment's start inside the window, size and duration; before the
         # first step a segment begun outside the window is open
@@ -159,7 +159,7 @@ class Avalanches:
         """Read signal k's next steps y (not empty)."""
         active = y > 0
         m = len(y)
-        self.zeros[k] += m - int(np.count_nonzero(active))
+        self._zeros[k] += m - int(np.count_nonzero(active))
         # the chunk's segments, active and quiet in turn, and the active ones
         bounds = np.concatenate(([0], np.flatnonzero(active[1:] != active[:-1]) + 1, [m]))
         first = 0 if active[0] else 1
@@ -202,7 +202,7 @@ class Avalanches:
 
     def zero_fraction(self, k=0):
         """The fraction of the steps read where signal k is 0."""
-        return self.zeros[k] / self.steps
+        return self._zeros[k] / self.steps
 
 
 # ----------------------------------------------------------------------
