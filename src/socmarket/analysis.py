@@ -130,8 +130,9 @@ class Avalanches:
     Each signal carries its open segment across chunk edges: its size, its
     duration, and whether it began inside the window.  The segment open at
     the window's first step began before it, so it is discarded, as is the
-    one still open at the end.  Only the closed segments are kept, as int64
-    arrays, and the zero steps are counted; the signals are counts (>= 0).
+    one still open at the end.  Only the closed segments are kept, which
+    arrays() returns as int64 arrays, and the zero steps are counted; the
+    signals are counts (>= 0).
     """
 
     def __init__(self, n_signals=1):
