@@ -360,16 +360,6 @@ def avalanche_exponents(events, size_range=DEFAULT_SIZE_RANGE,
     return out
 
 
-# steps per _advance call where an analysis keeps no per-step arrays
-_CHUNK = 8192
-
-
-def _advance_to(sim, t):
-    """Step sim up to step t, dropping the per-step arrays chunk by chunk."""
-    while sim.t < t:
-        sim._advance(min(t - sim.t, _CHUNK))
-
-
 def track_activity(sim, thresholds):
     """Step a Simulation from its current step to completion, counting
     agents below each rescaled-profit threshold at every step (pre-cut,
@@ -401,10 +391,8 @@ class ThresholdScanEntry:
 class ThresholdScan:
     """A threshold scan's entries and its pick, best (an index into the
     grid, or None), with each threshold's avalanches: sizes[k] and
-    durations[k] are int64 arrays.  activity is the (post-transient steps,
-    n_thresholds) int32 counts, or None when the scan did not keep them."""
+    durations[k] are int64 arrays."""
     entries: list
-    activity: Optional[np.ndarray]
     best: Optional[int]
     sizes: list
     durations: list
@@ -419,8 +407,7 @@ class ThresholdScan:
 
 
 def threshold_scan(net, wts, config, f0_grid=None, engine="incremental",
-                   size_range=DEFAULT_SIZE_RANGE, min_events=MIN_EVENTS,
-                   keep_activity=True):
+                   size_range=DEFAULT_SIZE_RANGE, min_events=MIN_EVENTS):
     """Locate the critical activity threshold.
 
     Runs once, tracking activity on a grid of thresholds after the
@@ -430,9 +417,10 @@ def threshold_scan(net, wts, config, f0_grid=None, engine="incremental",
     the critical point the distribution bends steep and short; above it,
     quiescence disappears.
 
-    The activity is counted in chunks of _CHUNK steps, each read into one
-    Avalanches and then dropped, so without keep_activity the memory
-    follows the avalanches, not the steps.
+    The scan folds over Simulation.blocks: the transient's blocks are
+    dropped, and each tracked block's activity is read into one
+    Avalanches and then dropped, so the memory follows the avalanches,
+    not the steps.
     """
     from .dynamics import Simulation
 
@@ -440,17 +428,13 @@ def threshold_scan(net, wts, config, f0_grid=None, engine="incremental",
         f0_grid = -0.5 * config.eta_max * np.asarray(THRESHOLD_GRID_UNITS)
     f0_grid = np.asarray(f0_grid, dtype=np.float64)
     sim = Simulation(net, wts, config, engine=engine)
-    _advance_to(sim, config.transient_steps)
-    total = config.total_steps
-    activity = (np.empty((total - sim.t, len(f0_grid)), dtype=np.int32)
-                if keep_activity else None)
+    for _ in sim.blocks(config.transient_steps):
+        pass
     avalanches = Avalanches(len(f0_grid))
-    while sim.t < total:
-        rows = sim._advance(min(total - sim.t, _CHUNK), f0_grid)[4]
-        if keep_activity:
-            activity[avalanches.steps:avalanches.steps + len(rows)] = rows
+    # unpacked, so that only a block's activity is held while it is read
+    for _, _, _, _, _, rows in sim.blocks(config.total_steps, f0_grid):
         avalanches.add(rows)
-        del rows  # before the next chunk's rows are made
+        del rows  # before the next block is made
     # free the engine and its update plan before the per-threshold analysis
     del sim
     entries, sizes, durations = [], [], []
@@ -473,8 +457,7 @@ def threshold_scan(net, wts, config, f0_grid=None, engine="incremental",
         entries.append(entry)
     eligible = [k for k, e in enumerate(entries) if e.tau_s is not None]
     best = max(eligible, key=lambda k: entries[k].tau_s.r_squared, default=None)
-    return ThresholdScan(entries=entries, activity=activity, best=best,
-                         sizes=sizes, durations=durations)
+    return ThresholdScan(entries=entries, best=best, sizes=sizes, durations=durations)
 
 
 # ----------------------------------------------------------------------
@@ -633,6 +616,7 @@ def stationary_profit_quantile(sim, q, n_snapshots=200):
     # one row per sample, taken whole by the quantile
     samples = np.empty((len(steps), eng.n))
     for row, t in zip(samples, steps):
-        _advance_to(sim, t)  # the profits and mean price step t sees
+        for _ in sim.blocks(t):  # to the profits and mean price step t sees
+            pass
         np.divide(eng.profit, eng.psum / eng.n, out=row)
     return float(np.quantile(samples.reshape(-1), q, overwrite_input=True))

@@ -224,7 +224,7 @@ def _threshold_scan(ecfg, net, wts, sim_cfg, f0_grid=None):
     when None), keeping each threshold's avalanches, not its activity."""
     return analysis.threshold_scan(
         net, wts, sim_cfg, f0_grid=f0_grid, engine=ecfg.engine,
-        size_range=(ecfg.fit_min, ecfg.fit_max), keep_activity=False)
+        size_range=(ecfg.fit_min, ecfg.fit_max))
 
 
 def _scan_for_threshold(ecfg, net, wts, sim_cfg):
@@ -246,23 +246,36 @@ def _configured_f0(ecfg, net, wts, sim_cfg):
 
 
 def _run_one(ecfg, seed, record_path, checkpoint_path):
+    """Run one seed, writing its record block by block as it is simulated.
+    Of the steps it keeps only the post-transient min_profit column: the
+    summary's mean of it is numpy's pairwise sum over the whole column."""
     net, wts, sim_cfg = build_experiment(ecfg, seed)
     record_path.parent.mkdir(parents=True, exist_ok=True)
     f0, _ = _configured_f0(ecfg, net, wts, sim_cfg)
     sim = dynamics.Simulation(net, wts, sim_cfg, engine=ecfg.engine)
-    record = sim.run(activity_f0=f0,
-                     checkpoint_path=checkpoint_path,
-                     checkpoint_every=ecfg.checkpoint_every)
-    record.config_hash = ecfg.digest()
-    record.save_text(record_path)
-    post_min = record.post(record.min_profit)
-    return {
-        "seed": seed,
-        "record": record_path.name,
-        "final_mean_price": float(record.mean_price[-1]),
-        "post_min_profit_mean": float(post_min.mean()),
-        "renorm_events": int(record.renorm_flags.sum()),
-    }
+    transient = sim_cfg.transient_steps
+    post_min = np.empty(sim_cfg.total_steps - transient)
+    summary = {"seed": seed, "record": record_path.name, "renorm_events": 0}
+
+    def kept(blocks):
+        for block in blocks:
+            start, _, mins, means, flags, _ = block
+            a, b = max(start - transient, 0), max(start + len(mins) - transient, 0)
+            post_min[a:b] = mins[len(mins) - (b - a):]
+            summary["final_mean_price"] = float(means[-1])
+            summary["renorm_events"] += int(flags.sum())
+            yield block
+
+    none = np.empty(0)
+    header = dynamics.RunRecord(
+        net.n_agents, net.extents, transient, none, none, none, none, kind=net.kind,
+        config=sim_cfg, activity=None if f0 is None else none, activity_f0=f0,
+        config_hash=ecfg.digest())
+    header.save_text(record_path, kept(sim.blocks(
+        sim_cfg.total_steps, f0, checkpoint_path=checkpoint_path,
+        checkpoint_every=ecfg.checkpoint_every)))
+    summary["post_min_profit_mean"] = float(post_min.mean())
+    return summary
 
 
 def cmd_run(ecfg, args):

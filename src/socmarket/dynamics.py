@@ -2,7 +2,8 @@
 
 Each step: evaluate the market, find the agent with the least profit (the
 loser), cut its price by a random factor eta in [0, eta_max), record the
-step, repeat.  Simulation._advance drives these steps in blocks of cuts.
+step, repeat.  Simulation._advance drives these steps in blocks of cuts, and
+Simulation.blocks streams them, with their per-step arrays, in chunks.
 Two interchangeable engines drive the evaluation:
 
 * full        -- market.evaluate_market over every agent each step (O(N)),
@@ -426,33 +427,12 @@ class RunRecord:
         lo = max(0, self.transient_steps - self.start_step)
         return arr[lo:]
 
-    def concat(self, other):
-        """Join a resumed continuation onto this record."""
-        if other.start_step != self.total_steps:
-            raise ValueError(
-                f"records are not contiguous: {self.total_steps} then {other.start_step}")
-        if ((self.activity is None) != (other.activity is None)
-                or not np.array_equal(self.activity_f0, other.activity_f0)):
-            raise ValueError(f"records count activity differently: f0 "
-                             f"{self.activity_f0!r} then {other.activity_f0!r}")
-        join = lambda a, b: None if a is None else np.concatenate([a, b])
-        return RunRecord(
-            n_agents=self.n_agents, extents=self.extents,
-            transient_steps=self.transient_steps, kind=self.kind,
-            loser_index=np.concatenate([self.loser_index, other.loser_index]),
-            min_profit=np.concatenate([self.min_profit, other.min_profit]),
-            mean_price=np.concatenate([self.mean_price, other.mean_price]),
-            renorm_flags=np.concatenate([self.renorm_flags, other.renorm_flags]),
-            config=self.config, activity=join(self.activity, other.activity),
-            activity_f0=self.activity_f0, start_step=self.start_step,
-            config_hash=self.config_hash)
-
     # -- columnar text format -------------------------------------------
 
-    # rows formatted per block: whole columns at a time, one write each
-    _WRITE_ROWS = 8192
-
-    def save_text(self, path):
+    def save_text(self, path, blocks=None):
+        """Write the header, then the rows a block at a time: those of
+        blocks, a Simulation.blocks stream, where given (the record then
+        only gives the header), else its own in blocks of Simulation.CHUNK."""
         if self.activity is not None and self.activity.ndim != 1:
             raise ValueError("the text format holds one activity column; "
                              "a grid of thresholds cannot be saved")
@@ -477,18 +457,20 @@ class RunRecord:
         if self.config_hash is not None:
             head.append(f"# config_hash {self.config_hash}")
         head.append(" ".join(cols))
+        if blocks is None:
+            size, arrays = Simulation.CHUNK, (self.loser_index, self.min_profit,
+                                              self.mean_price, self.renorm_flags, self.activity)
+            blocks = ((self.start_step + a, *(c if c is None else c[a:a + size] for c in arrays))
+                      for a in range(0, len(self.loser_index), size))
         with open(path, "wb") as fh:
             fh.write(("\n".join(head) + "\n").encode())
-            n = len(self.loser_index)
-            for a in range(0, n, self._WRITE_ROWS):
-                b = min(a + self._WRITE_ROWS, n)
-                pos = coordinates(self.loser_index[a:b], self.extents).reshape(b - a, dim)
-                columns = [np.arange(self.start_step + a, self.start_step + b),
-                           self.loser_index[a:b], *pos.T,
-                           self.min_profit[a:b], self.mean_price[a:b],
-                           self.renorm_flags[a:b].astype(np.uint8)]
+            for start, losers, mins, means, flags, activity in blocks:
+                m = len(losers)
+                pos = coordinates(losers, self.extents).reshape(m, dim)
+                columns = [np.arange(start, start + m), losers, *pos.T, mins, means,
+                           flags.astype(np.uint8)]
                 if self.activity is not None:
-                    columns.append(self.activity[a:b])
+                    columns.append(activity)
                 fh.write(format_rows(columns))
 
     @classmethod
@@ -510,6 +492,12 @@ class RunRecord:
                 else:
                     header = line.split()
                     break
+            missing = [f"no {key} header line" for key in ("n_agents", "extents", "transient_steps")
+                       if not meta.get(key)]
+            missing += [f"no {name} column" for name in ("loser_idx", "min_profit", "mean_price",
+                                                          "renorm_flag") if name not in header]
+            if missing:
+                raise ValueError(f"{path}: the record has " + " and ".join(missing))
             body = fh.read()
         data = _parse_rows(body, len(header))
         if data.shape[1] != len(header):
@@ -605,6 +593,8 @@ class Simulation:
     """Owns an engine, the random source, and the step loop (_advance)."""
 
     _BLOCK = MarketEngine._BLOCK
+    # steps per chunk of blocks, and rows per block of RunRecord.save_text
+    CHUNK = 8192
 
     def __init__(self, net, wts, config, engine="incremental"):
         config.validate()
@@ -641,8 +631,6 @@ class Simulation:
         start = self._t
         if cfg.total_steps <= start:
             raise ValueError("simulation already past total_steps")
-        if audit_interval < 0 or checkpoint_every < 0:
-            raise ValueError("audit_interval and checkpoint_every must be >= 0")
         loser_idx, min_profit, mean_price, renorm, activity, _ = self._advance(
             cfg.total_steps - start, activity_f0, audit_interval,
             checkpoint_path, checkpoint_every)
@@ -653,6 +641,17 @@ class Simulation:
             min_profit=min_profit, mean_price=mean_price, renorm_flags=renorm,
             config=cfg, activity=activity,
             activity_f0=activity_f0, start_step=start)
+
+    def blocks(self, until, activity_f0=None, audit_interval=0,
+               checkpoint_path=None, checkpoint_every=0):
+        """Step up to step `until` in chunks of at most CHUNK steps, and
+        yield each chunk as (its first step, loser, min_profit, mean_price,
+        renorm_flags, activity or None): _advance's per-step arrays, with
+        its activity counts, audits and checkpoints.  A simulation already
+        at or past `until` yields nothing."""
+        while self._t < until:
+            yield (self._t, *self._advance(min(until - self._t, self.CHUNK), activity_f0,
+                                           audit_interval, checkpoint_path, checkpoint_every)[:5])
 
     def _advance(self, count, activity_f0=None, audit_interval=0,
                  checkpoint_path=None, checkpoint_every=0):
@@ -678,6 +677,8 @@ class Simulation:
         Returns per-step arrays (loser, min_profit, mean_price,
         renorm_flags, activity or None) and the last cut eta.
         """
+        if audit_interval < 0 or checkpoint_every < 0:
+            raise ValueError("audit_interval and checkpoint_every must be >= 0")
         eng, rng = self._eng, self._rng
         steps = (np.empty(count, dtype=np.int32), np.empty(count), np.empty(count),
                  np.zeros(count, dtype=bool))

@@ -223,9 +223,7 @@ def test_criterion_6b_er_exponents(er100_scan):
     degenerate = caption.tau_s is None
     entry = scan.best_entry
     assert entry is not None, "no critical threshold found"
-    k = scan.entries.index(entry)
-    y = scan.activity[:, k]
-    events = sm.extract_avalanches(y)
+    events = scan.events(scan.entries.index(entry))
     out = sm.avalanche_exponents(events)
     tau_s, tau_t = out.tau_s.exponent, out.tau_t.exponent
     ok = abs(tau_s - 1.38) <= 0.15 and abs(tau_t - 1.46) <= 0.20 and degenerate
@@ -298,8 +296,7 @@ def test_criterion_8_fit_calibration():
 def test_criterion_9_scaling_relation(er100_scan):
     scan = er100_scan
     entry = scan.best_entry
-    k = scan.entries.index(entry)
-    events = sm.extract_avalanches(scan.activity[:, k])
+    events = scan.events(scan.entries.index(entry))
     out = sm.avalanche_exponents(events)
     ok = out.relation_residual <= 2.0 * out.relation_stderr
     report(9, ok,

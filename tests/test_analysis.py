@@ -502,11 +502,14 @@ class TestThresholdScan:
         b = sm.threshold_scan(net, wts, cfg, min_events=50)
         assert [e.f0 for e in a.entries] == [e.f0 for e in b.entries]
         assert [e.n_events for e in a.entries] == [e.n_events for e in b.entries]
-        assert a.activity.shape == (3500, 8)
-        assert np.array_equal(a.activity, b.activity)
         grid = [e.f0 for e in a.entries]
-        full = sm.track_activity(sm.Simulation(net, wts, cfg), grid)
-        assert np.array_equal(a.activity, full[cfg.transient_steps:])
+        rows = sm.track_activity(sm.Simulation(net, wts, cfg), grid)[cfg.transient_steps:]
+        assert rows.shape == (3500, 8)
+        for k in range(8):
+            sizes, durations = whole_signal_arrays(rows[:, k])
+            for scan in (a, b):
+                assert np.array_equal(scan.sizes[k], sizes)
+                assert np.array_equal(scan.durations[k], durations)
 
     @pytest.mark.parametrize("engine", sm.dynamics.ENGINES)
     def test_scan_chunks_match_one_pass(self, monkeypatch, engine):
@@ -516,41 +519,34 @@ class TestThresholdScan:
         wts = sm.assign_weights_fixed(net, 0.25)
         cfg = sm.SimConfig(total_steps=3300, transient_steps=450, seed=5)
         grid = [np.nan, -0.004, -np.inf, -0.005, -0.004, np.inf, 0.0]
-        monkeypatch.setattr(analysis, "_CHUNK", 700)
-        scans = [sm.threshold_scan(net, wts, cfg, f0_grid=grid, engine=engine,
-                                   min_events=5, keep_activity=keep)
-                 for keep in (True, False)]
+        monkeypatch.setattr(sm.Simulation, "CHUNK", 700)
+        scan = sm.threshold_scan(net, wts, cfg, f0_grid=grid, engine=engine, min_events=5)
         full = sm.track_activity(sm.Simulation(net, wts, cfg, engine=engine), grid)
         rows = full[cfg.transient_steps:]
-        assert np.array_equal(scans[0].activity, rows)
-        assert scans[1].activity is None
         assert rows[:, 3].any() and not rows[:, 3].all()
-        for scan in scans:
-            for k, entry in enumerate(scan.entries):
-                sizes, durations = whole_signal_arrays(rows[:, k])
-                assert scan.sizes[k].tolist() == sizes.tolist()
-                assert scan.durations[k].tolist() == durations.tolist()
-                assert entry.n_events == len(sizes)
-                assert entry.zero_fraction == np.mean(rows[:, k] == 0)
-                assert scan.events(k) == sm.extract_avalanches(rows[:, k])
-        assert repr(scans[0].entries) == repr(scans[1].entries)  # f0 NaN != NaN
-        assert scans[0].best == scans[1].best
+        for k, entry in enumerate(scan.entries):
+            sizes, durations = whole_signal_arrays(rows[:, k])
+            assert scan.sizes[k].tolist() == sizes.tolist()
+            assert scan.durations[k].tolist() == durations.tolist()
+            assert entry.n_events == len(sizes)
+            assert entry.zero_fraction == np.mean(rows[:, k] == 0)
+            assert scan.events(k) == sm.extract_avalanches(rows[:, k])
 
     def test_scan_without_activity_matches_the_default(self, monkeypatch):
         net = sm.build_corner_lattice(16, "rt")
         wts = sm.assign_weights_fixed(net, 0.25)
         cfg = sm.SimConfig(total_steps=40000, transient_steps=2000, seed=3)
         default = sm.threshold_scan(net, wts, cfg, size_range=(2, 400), min_events=100)
-        monkeypatch.setattr(analysis, "_CHUNK", 3000)
-        lean = sm.threshold_scan(net, wts, cfg, size_range=(2, 400), min_events=100,
-                                 keep_activity=False)
-        assert lean.activity is None
+        monkeypatch.setattr(sm.Simulation, "CHUNK", 3000)
+        lean = sm.threshold_scan(net, wts, cfg, size_range=(2, 400), min_events=100)
         assert lean.entries == default.entries
         assert lean.best == default.best is not None
+        grid = [e.f0 for e in default.entries]
+        rows = sm.track_activity(sm.Simulation(net, wts, cfg), grid)[cfg.transient_steps:]
         for k in range(len(default.entries)):
             assert np.array_equal(lean.sizes[k], default.sizes[k])
             assert np.array_equal(lean.durations[k], default.durations[k])
-            sizes, durations = whole_signal_arrays(default.activity[:, k])
+            sizes, durations = whole_signal_arrays(rows[:, k])
             assert np.array_equal(default.sizes[k], sizes)
             assert np.array_equal(default.durations[k], durations)
 
@@ -563,7 +559,7 @@ class TestThresholdScan:
         sm.Simulation(net, wts, cfg)  # build and load the kernel outside the trace
         tracemalloc.start()
         try:
-            scan = sm.threshold_scan(net, wts, cfg, keep_activity=False)
+            scan = sm.threshold_scan(net, wts, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -607,7 +603,8 @@ class TestThresholdScan:
         eng = ref.engine
         samples = []
         for t in range(cfg.transient_steps, cfg.total_steps, 100):
-            analysis._advance_to(ref, t)
+            for _ in ref.blocks(t):
+                pass
             samples.append(eng.profit / (eng.psum / eng.n))
         assert len(samples) == 200
         for q in (0.001, 0.01, 0.1, 0.5, 0.99):

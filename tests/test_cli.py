@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import socmarket as sm
-from socmarket import analysis, cli
+from socmarket import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -304,6 +304,68 @@ class TestRunCommand:
         assert cli.main(["run", "--config", cfg, "--seed", "99"]) == 0
         assert (out / "run_seed99.txt").exists()
 
+    def test_streamed_record_matches_the_whole_run(self, tmp_path, monkeypatch):
+        # 700-step blocks: the transient (500 steps) and the last checkpoint
+        # (at 3 300, every 1 100 steps) end inside one; prices start near 1
+        # and are renormalised whenever their mean falls below 0.8
+        out = tmp_path / "out"
+        text = RING_CFG.format(out=out).replace(
+            "seed = 3", "seed = 3\nprice_floor = 0.5\nrenorm_threshold = 0.8").replace(
+            "checkpoint_every = 2000", "checkpoint_every = 1100")
+        cfg = write_config(tmp_path / "c.ini", text)
+        monkeypatch.setattr(sm.Simulation, "CHUNK", 700)
+        assert cli.main(["run", "--config", cfg]) == 0
+        ecfg = cli.load_config(cfg)
+        net, wts, sim_cfg = cli.build_experiment(ecfg, 3)
+        ref = sm.Simulation(net, wts, sim_cfg).run(
+            activity_f0=ecfg.f0, checkpoint_path=tmp_path / "ref.bin", checkpoint_every=1100)
+        ref.config_hash = ecfg.digest()
+        ref.save_text(tmp_path / "ref.txt")
+        assert (out / "run_seed3.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+        assert (out / "ckpt_seed3.bin").read_bytes() == (tmp_path / "ref.bin").read_bytes()
+        assert sm.load_checkpoint(tmp_path / "ref.bin")[0] == 3300
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary == {"runs": [{
+            "seed": 3, "record": "run_seed3.txt",
+            "final_mean_price": float(ref.mean_price[-1]),
+            "post_min_profit_mean": float(ref.post(ref.min_profit).mean()),
+            "renorm_events": int(ref.renorm_flags.sum())}]}
+        assert summary["runs"][0]["renorm_events"] > 1
+
+    def test_run_memory_grows_by_the_kept_column(self, tmp_path):
+        # an RT32 run at 50 000 and at 200 000 steps: the peak grows by the
+        # 8-byte post-transient min_profit column, not by the record's
+        # columns (21 bytes a step)
+        peaks = []
+        sm.Simulation(sm.build_ring(3), sm.assign_weights_fixed(sm.build_ring(3), 0.5),
+                      sm.SimConfig(total_steps=2, transient_steps=0))  # load the kernel
+        for steps in (50_000, 200_000):
+            out = tmp_path / str(steps)
+            cfg = write_config(tmp_path / f"{steps}.ini", f"""
+[topology]
+kind = corner
+corner = RT
+L = 32
+
+[weights]
+a = 0.25
+
+[sim]
+total_steps = {steps}
+transient_steps = {steps // 10}
+seed = 11
+
+[output]
+dir = {out}
+""")
+            tracemalloc.start()
+            try:
+                assert cli.main(["run", "--config", cfg]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 12 * 150_000
+
 
 class TestWalkStats:
     def test_lattice_fits_written(self, tmp_path):
@@ -368,16 +430,22 @@ dir = {out}
         assert csv[0] == f"# config_hash {config_hash} seed {seed}"
 
     def test_record_cut_before_its_column_line(self, tmp_path, capsys):
+        # and a record without its n_agents line or its loser_idx column:
+        # each refusal names the file and what it lacks
         net = sm.build_ring(20)
         cfg = sm.SimConfig(total_steps=20, transient_steps=0, seed=1)
         record = tmp_path / "run.txt"
         sm.run(net, sm.assign_weights_fixed(net, 0.4), cfg).save_text(record)
         data = record.read_bytes()
-        record.write_bytes(data[:data.index(b"\nt loser_idx ") + 1])
-        assert cli.main(["walk-stats", "--run", str(record), "--out", str(tmp_path / "w")]) == 2
-        err = capsys.readouterr().err
-        assert err == (f"error: {record}: the record ends inside its header, "
-                       "with no complete column line\n")
+        for damaged, message in [
+                (data[:data.index(b"\nt loser_idx ") + 1],
+                 "the record ends inside its header, with no complete column line"),
+                (data.replace(b"# n_agents 20\n", b""), "the record has no n_agents header line"),
+                (data.replace(b" loser_idx ", b" loser "), "the record has no loser_idx column")]:
+            record.write_bytes(damaged)
+            assert cli.main(["walk-stats", "--run", str(record),
+                             "--out", str(tmp_path / "w")]) == 2
+            assert capsys.readouterr().err == f"error: {record}: {message}\n"
 
 
 class TestAvalancheStats:
@@ -401,7 +469,7 @@ class TestAvalancheStats:
         assert cli.main(["run", "--config", cfg]) == 0
         assert cli.main(["avalanche-stats", "--run", str(out / "run_seed3.txt"),
                          "--config", cfg, "--out", str(tmp_path / "rec")]) == 0
-        monkeypatch.setattr(analysis, "_CHUNK", 300)
+        monkeypatch.setattr(sm.Simulation, "CHUNK", 300)
         assert cli.main(["avalanche-stats", "--config", cfg]) == 0
         recorded = json.loads((tmp_path / "rec" / "avalanche_fits.json").read_text())
         direct = json.loads((out / "avalanche_fits.json").read_text())

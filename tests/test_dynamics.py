@@ -551,6 +551,36 @@ class TestStepLoop:
             joined = np.concatenate([getattr(head, name)[:2044], getattr(tail, name)])
             assert np.array_equal(joined, getattr(full, name)), name
 
+    @pytest.mark.parametrize("engine", sm.dynamics.ENGINES)
+    def test_blocks_join_to_run(self, tmp_path, monkeypatch, engine):
+        # 700-step blocks, audits every 300 steps and checkpoints every 500,
+        # stopping at 2900: the last checkpoint, at 2500, and most audits
+        # fall inside a block
+        net = sm.build_corner_lattice(8, "RT")
+        wts = sm.assign_weights_uniform(net, np.random.default_rng(3))
+        cfg = sm.SimConfig(total_steps=2900, transient_steps=0, seed=4)
+        grid = np.array([-0.006, -0.004, np.nan, 0.0])
+        audited = []
+        audit = sm.MarketEngine.audit
+        monkeypatch.setattr(sm.MarketEngine, "audit",
+                            lambda eng: audited.append(sim.t) or audit(eng))
+        sim = sm.Simulation(net, wts, cfg, engine=engine)
+        ref = sim.run(activity_f0=grid, audit_interval=300,
+                      checkpoint_path=tmp_path / "run.ckpt", checkpoint_every=500)
+        monkeypatch.setattr(sm.Simulation, "CHUNK", 700)
+        sim = sm.Simulation(net, wts, cfg, engine=engine)
+        assert list(sim.blocks(0, grid)) == []
+        blocks = list(sim.blocks(cfg.total_steps, grid, 300, tmp_path / "blocks.ckpt", 500))
+        assert [b[0] for b in blocks] == list(range(0, 2900, 700))
+        assert audited == 2 * list(range(300, 2901, 300))
+        assert sm.load_checkpoint(tmp_path / "blocks.ckpt")[0] == 2500
+        assert (tmp_path / "blocks.ckpt").read_bytes() == (tmp_path / "run.ckpt").read_bytes()
+        for k, name in enumerate(TestKernelLoopAgainstFullEngine.COLUMNS, 1):
+            joined = np.concatenate([b[k] for b in blocks])
+            assert joined.dtype == getattr(ref, name).dtype, name
+            assert np.array_equal(joined, getattr(ref, name)), name
+        assert list(sim.blocks(cfg.total_steps)) == [] and sim.t == 2900
+
 
 class TestKernelLoopAgainstFullEngine:
     """The kernel's block of cuts (incremental engine) against the full
@@ -725,14 +755,13 @@ class TestCandidateCount:
     MIXED = [-0.3, -0.004, -0.002, 0.0, 0.004, 0.3]
 
     @staticmethod
-    def counts(net, wts, cfg, f0, engine, chunk=None):
-        """track_activity's counts, or those of _advance over chunks of
-        steps, on one engine."""
+    def counts(net, wts, cfg, f0, engine, blocks=False):
+        """track_activity's counts, or the activity of Simulation.blocks
+        joined, on one engine."""
         sim = sm.Simulation(net, wts, cfg, engine=engine)
-        if chunk is None:
+        if not blocks:
             return sm.track_activity(sim, f0)
-        return np.concatenate([sim._advance(min(chunk, cfg.total_steps - t), f0)[4]
-                               for t in range(0, cfg.total_steps, chunk)])
+        return np.concatenate([block[5] for block in sim.blocks(cfg.total_steps, f0)])
 
     @pytest.mark.parametrize("grid", [MIXED, [0.001, 0.004, 0.3], [-0.3, -0.004], []],
                              ids=["mixed", "positive", "negative", "empty"])
@@ -808,12 +837,13 @@ class TestCandidateCount:
     @pytest.mark.parametrize("grid", [
         [0.004, -0.3, -0.004, -0.004, 0.0],
         [-np.inf, -0.004, np.inf, 0.0, np.nan, -0.002]], ids=["unsorted", "infinite"])
-    def test_unsorted_and_infinite_grids(self, grid):
+    def test_unsorted_and_infinite_grids(self, monkeypatch, grid):
         # a repeated threshold, mixed signs, thresholds out of order, +-inf
         # and a NaN, over chunks that end mid-block
         net, wts = rt_lattice()
         cfg = sm.SimConfig(total_steps=2500, transient_steps=0, seed=6)
-        got = self.counts(net, wts, cfg, grid, "incremental", 700)
+        monkeypatch.setattr(sm.Simulation, "CHUNK", 700)
+        got = self.counts(net, wts, cfg, grid, "incremental", blocks=True)
         assert np.array_equal(got, self.counts(net, wts, cfg, grid, "full"))
         assert len(np.unique(got[:, grid.index(-0.004)])) > 10
 
@@ -826,35 +856,44 @@ class TestCandidateCount:
         assert np.array_equal(got, self.counts(net, wts, cfg, grid, "full"))
         assert got[0, -1] > 2000
 
-    def test_simulations_in_alternating_blocks_count_as_each_alone(self):
+    def test_simulations_in_alternating_blocks_count_as_each_alone(self, monkeypatch):
         # each Simulation keeps its own buckets: two advanced in turns,
         # in chunks that end mid-block, count as each does alone
         net, wts = rt_lattice()
         cfgs = [sm.SimConfig(total_steps=3000, transient_steps=0, seed=s) for s in (1, 2)]
         alone = [self.counts(net, wts, cfg, self.MIXED, "incremental") for cfg in cfgs]
+        monkeypatch.setattr(sm.Simulation, "CHUNK", 700)
         sims = [sm.Simulation(net, wts, cfg) for cfg in cfgs]
         parts = [[], []]
-        for t in range(0, 3000, 700):
-            for sim, part in zip(sims, parts):
-                part.append(sim._advance(min(700, 3000 - t), self.MIXED)[4])
+        for pair in zip(*(sim.blocks(3000, self.MIXED) for sim in sims)):
+            for part, block in zip(parts, pair):
+                part.append(block[5])
         for part, ref in zip(parts, alone):
             assert np.array_equal(np.concatenate(part), ref)
-        assert np.array_equal(alone[0], self.counts(net, wts, cfgs[0], self.MIXED, "full", 700))
+        full = self.counts(net, wts, cfgs[0], self.MIXED, "full", blocks=True)
+        assert np.array_equal(alone[0], full)
 
 
 class TestRecordSerialization:
     # the record ends before its column line, inside it, or inside a line
-    # before it
-    @pytest.mark.parametrize("cut", [1, 8, -3], ids=["before", "inside", "meta"])
-    def test_record_cut_in_its_header_is_refused(self, tmp_path, cut):
+    # before it; or it lacks a header line or a column
+    @pytest.mark.parametrize("cut,missing", [
+        (1, None), (8, None), (-3, None), (b"# extents 10\n", "extents header line"),
+        (b" min_profit", "min_profit column")],
+        ids=["before", "inside", "meta", "no-extents", "no-min_profit"])
+    def test_record_cut_in_its_header_is_refused(self, tmp_path, cut, missing):
         net = sm.build_ring(10)
         cfg = sm.SimConfig(total_steps=20, transient_steps=0, seed=1)
         path = tmp_path / "run.txt"
         sm.run(net, sm.assign_weights_fixed(net, 0.4), cfg).save_text(path)
         data = path.read_bytes()
-        path.write_bytes(data[:data.index(b"\nt loser_idx ") + cut])
-        message = f"{path}: the record ends inside its header, with no complete column line"
-        with pytest.raises(ValueError, match=re.escape(message)):
+        if missing:
+            path.write_bytes(data.replace(cut, b"", 1))
+            message = f"{path}: the record has no {missing}"
+        else:
+            path.write_bytes(data[:data.index(b"\nt loser_idx ") + cut])
+            message = f"{path}: the record ends inside its header, with no complete column line"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
             sm.RunRecord.load_text(path)
 
     def test_text_roundtrip(self, tmp_path):
@@ -937,7 +976,7 @@ class TestRecordSerialization:
         # prices near 10 and profits near -1 take its fast path, and so does
         # 0.0, but not the nan in the second block
         rng = np.random.default_rng(5)
-        n = sm.RunRecord._WRITE_ROWS + 1234
+        n = sm.Simulation.CHUNK + 1234
         rec = sm.RunRecord(
             n_agents=net.n_agents, extents=net.extents, transient_steps=10,
             loser_index=rng.integers(0, net.n_agents, n).astype(np.int32),
@@ -978,7 +1017,7 @@ class TestRecordSerialization:
         taken = [_kernel.load().socm_write_rows(
             out.ctypes.data, rows, 1, (ctypes.c_void_p * 1)(col.ctypes.data),
             b"f", ord(" ")) >= 0
-            for col in (rec.min_profit, rec.mean_price) for rows in (sm.RunRecord._WRITE_ROWS, n)]
+            for col in (rec.min_profit, rec.mean_price) for rows in (sm.Simulation.CHUNK, n)]
         assert taken == [fast, fast, fast, False]
 
     @staticmethod
@@ -1087,18 +1126,16 @@ class TestCheckpointResume:
         cfg = sm.SimConfig(total_steps=300, transient_steps=20, seed=7)
         ckpt = tmp_path / "ckpt.bin"
         full = sm.run(net, wts, cfg)
-        sim = sm.Simulation(net, wts, cfg)
-        head = None
-        # run 120 steps, checkpointing at step 100
+        # run 100 steps, checkpointing at step 100
         first_cfg = sm.SimConfig(total_steps=100, transient_steps=20, seed=7)
         sim = sm.Simulation(net, wts, first_cfg)
         head = sim.run(checkpoint_path=ckpt, checkpoint_every=100)
         resumed = sm.Simulation.resume(net, wts, cfg, ckpt)
         tail = resumed.run()
-        joined = head.concat(tail)
-        assert np.array_equal(joined.loser_index, full.loser_index)
-        assert np.array_equal(joined.min_profit, full.min_profit)
-        assert np.array_equal(joined.mean_price, full.mean_price)
+        assert tail.start_step == head.total_steps
+        for name in ("loser_index", "min_profit", "mean_price"):
+            joined = np.concatenate([getattr(head, name), getattr(tail, name)])
+            assert np.array_equal(joined, getattr(full, name)), name
 
     def test_resume_on_a_network_of_another_size_rejected(self, tmp_path):
         net, wts, cfg = small_setup(n=10)
@@ -1167,20 +1204,3 @@ class TestCheckpointResume:
         path.write_bytes(path.read_bytes()[:20])
         with pytest.raises(ValueError):
             sm.load_checkpoint(path)
-
-    def test_concat_requires_contiguity(self):
-        net, wts, cfg = small_setup()
-        rec = sm.run(net, wts, cfg)
-        with pytest.raises(ValueError):
-            rec.concat(rec)
-
-    @pytest.mark.parametrize("head_f0,tail_f0", [
-        (-0.004, None), (None, -0.004), (-0.004, -0.003)])
-    def test_concat_requires_the_same_activity(self, head_f0, tail_f0):
-        net, wts, cfg = small_setup()
-        head = sm.Simulation(net, wts, dataclasses.replace(cfg, total_steps=100)).run(
-            activity_f0=head_f0)
-        tail = dataclasses.replace(
-            sm.run(net, wts, cfg, activity_f0=tail_f0), start_step=head.total_steps)
-        with pytest.raises(ValueError, match="count activity differently"):
-            head.concat(tail)
