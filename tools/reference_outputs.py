@@ -1,15 +1,16 @@
 """Check the reference commands' outputs against their recorded digests.
 
-Runs the ten reference commands in a temporary directory, in order: the
+Runs the eleven reference commands in a temporary directory, in order: the
 four `configs/*.ini` commands; `avalanche-stats` on
 `rt_lattice_avalanches.ini` with `--f0-quantile 0.01`, with `--f0 -0.0047`
 and with `--f0 -1` (which finds no avalanches and falls back to a scan);
 `run` on `rt_walk.ini` (a 2-D record and its checkpoint) and `walk-stats
 --run` on the record it wrote; and `run` on `ring_decay.ini` (a 1-D
-record).  It hashes every file they write (keyed by
-its path under `out/`), and each command's stdout with its exit code
-appended (`out_<name>.stdout`) and its stderr (`out_<name>.stderr`), and
-compares the digests with `reference_outputs.json` beside this script.
+record) and `walk-stats --run` on that record.  It hashes every file they
+write (keyed by its path under `out/`), and each command's stdout with its
+exit code appended (`out_<name>.stdout`) and its stderr
+(`out_<name>.stderr`), and compares the digests with
+`reference_outputs.json` beside this script.
 
     python tools/reference_outputs.py           # exit 1 on any difference
     python tools/reference_outputs.py --write   # record the digests anew
@@ -43,6 +44,8 @@ COMMANDS = {
     "rt_walk_run": ["walk-stats", "--run", "out/rt_run/run_seed5.txt",
                     "--out", "out/rt_walk_run"],
     "ring_run": ["run", "--config", "configs/ring_decay.ini", "--out", "out/ring_run"],
+    "ring_walk_run": ["walk-stats", "--run", "out/ring_run/run_seed55.txt",
+                      "--out", "out/ring_walk_run"],
 }
 
 
