@@ -22,7 +22,7 @@ from .dynamics import (MarketEngine, RunRecord, SimConfig, Simulation,
 from .analysis import (MFBP_TAU_S, AvalancheEvent, BinnedDistribution,
                        PowerLawFit, avalanche_exponents, extract_avalanches,
                        fit_decay_rate, fit_power_law, fit_power_law_mle,
-                       gamma_st, jump_distances, log_bin, loser_jump_stats,
+                       gamma_st, log_bin, loser_jump_stats,
                        predicted_decay_rate, sample_discrete_power_law,
                        scaling_relation_residual, stationary_profit_quantile,
                        threshold_scan, track_activity)

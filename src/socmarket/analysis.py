@@ -3,8 +3,8 @@
 Covers the observables of the critical market state: the deflation rate,
 the avalanches of the activity signal, log-binned distributions with
 least-squares exponent fits (plus a discrete MLE on the sample's own
-support), loser-jump distance statistics with the two-branch power-law
-fit, and the size/duration scaling relation.
+support), the loser-jump distances, counted per displacement, with the
+two-branch power-law fit, and the size/duration scaling relation.
 
 The mean-field branching-process size exponent tau_S = 3/2 is kept as a
 reference constant for comparison; the market model is expected to
@@ -20,6 +20,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import FitDomainError, StatisticsWarning
+from .topology import coordinates
 
 MFBP_TAU_S = 1.5
 # the fewest avalanche events that threshold_scan fits and gamma_st takes by
@@ -225,8 +226,9 @@ class BinnedDistribution:
         return self.bin_hi - self.bin_lo + 1
 
 
-def log_bin(values):
-    """Bin positive integers into doubling bins [2^r, 2^(r+1) - 1]."""
+def log_bin(values, weights=None):
+    """Bin positive integers into doubling bins [2^r, 2^(r+1) - 1]; weights,
+    where given, are the integer number of times each value occurs."""
     v = np.asarray(values)
     if v.size == 0:
         raise FitDomainError("nothing to bin")
@@ -234,11 +236,11 @@ def log_bin(values):
         raise FitDomainError("log binning needs values >= 1")
     n_bins = int(np.floor(np.log2(v.max()))) + 1
     edges = 2 ** np.arange(n_bins + 1)
-    counts, _ = np.histogram(v, bins=edges)
+    counts, _ = np.histogram(v, bins=edges, weights=weights)
     lo = edges[:-1]
     hi = edges[1:] - 1
     widths = (hi - lo + 1).astype(np.float64)
-    density = counts / (int(v.size) * widths)
+    density = counts / (int(v.size if weights is None else np.sum(weights)) * widths)
     x = (lo + hi) / 2.0
     return BinnedDistribution(bin_lo=lo, bin_hi=hi, x=x, density=density, counts=counts)
 
@@ -467,90 +469,86 @@ def threshold_scan(net, wts, config, f0_grid=None, engine="incremental",
 class JumpStats:
     """Distances between consecutive losers and their two-branch fits.
 
-    The distance law has a short branch P(xi) ~ xi^(-pi1) for xi <= L/2 and
-    a reflected branch P(xi) ~ |L - xi|^(-pi2) beyond, the latter produced
-    by unwrapped distances of near-boundary pairs.
+    cumulative_x holds the distinct distances, ascending, counts the jumps
+    at each, and cumulative_f the fraction at or below each.  The distance
+    law has a short branch P(xi) ~ xi^(-pi1) for xi <= L/2 and a reflected
+    branch P(xi) ~ |L - xi|^(-pi2) beyond, the latter produced by unwrapped
+    distances of near-boundary pairs.
     """
-    distances: np.ndarray
-    mode: str
-    metric: str
     cumulative_x: np.ndarray
+    counts: np.ndarray
     cumulative_f: np.ndarray
     pi1: Optional[PowerLawFit]
     pi2: Optional[PowerLawFit]
 
     @property
     def n_jumps(self):
-        return len(self.distances)
+        return int(self.counts.sum())
 
 
-def _fit_branch(samples, half):
-    """Log-binned density fit of one distance branch on [1, L/2].
-    Distances are rounded to integers first, which merges the
+def _fit_branch(values, counts, half):
+    """Log-binned density fit of one distance branch on [1, L/2] from its
+    distances (all >= 1) and the jumps at each, or None if it has too few
+    to fit.  Distances are rounded to integers first, which merges the
     near-degenerate lattice norms and smooths the annulus-count
     oscillations.  Bins truncated by the branch support (hi beyond L/2)
     are excluded, since their density estimate misses part of the bin."""
-    v = np.rint(samples).astype(np.int64)
-    v = v[v >= 1]
-    if v.size == 0:
-        raise FitDomainError("no samples in the branch")
-    dist = log_bin(v)
-    complete = dist.bin_hi <= half
-    if not complete.any():
-        raise FitDomainError("no complete bins within the branch support")
-    return fit_power_law(dist, (1.0, float(dist.x[complete][-1])))
-
-
-def jump_distances(record, mode="raw", metric="norm"):
-    """Distances between consecutive loser positions (post-transient)."""
-    pos = record.post(record.positions).astype(np.float64)
-    if pos.ndim == 1:
-        pos = pos[:, None]
-    ext = np.asarray(record.extents, dtype=np.float64)
-    d = np.abs(np.diff(pos, axis=0))
-    if mode == "min_image":
-        d = np.minimum(d, ext - d)
-    elif mode != "raw":
-        raise ValueError(f"unknown distance mode {mode!r}")
-    if metric == "norm":
-        return np.sqrt(np.sum(d * d, axis=1))
-    if metric == "component":
-        return d[:, 0]
-    raise ValueError(f"unknown distance metric {metric!r}")
+    try:
+        dist = log_bin(np.rint(values).astype(np.int64), counts)
+        complete = dist.bin_hi <= half
+        return fit_power_law(dist, (1.0, float(dist.x[complete][-1]))) if complete.any() else None
+    except FitDomainError:
+        return None
 
 
 def loser_jump_stats(record, mode="raw", metric="norm"):
     """Jump-distance distribution with the two-branch power-law fit.
 
-    pi1 is fitted on distances xi in [1, L/2]; pi2 on u = |L - xi| for the
-    samples with xi > L/2.  Zero jumps (repeated loser) are excluded from
-    the fits.  Fit failures leave the corresponding fit as None, and fewer
-    than 1 000 jumps raise a StatisticsWarning.
+    The post-transient jumps are counted, Simulation.CHUNK at a time, into
+    one int64 array of shape record.extents indexed by (|dx|, |dy|), or
+    |dx| on a line, and the distances are read off its occupied cells: no
+    per-jump array is held.  pi1 is fitted on distances xi in [1, L/2]; pi2
+    on u = |L - xi| >= 1 for the jumps with xi > L/2.  Zero jumps (repeated
+    loser) are excluded from the fits.  Fit failures leave the fit as None,
+    and fewer than 1 000 jumps raise a StatisticsWarning.
     """
-    xi = jump_distances(record, mode=mode, metric=metric)
-    if xi.size < 1000:
-        warnings.warn(f"only {xi.size} jumps, statistics will be poor",
+    from .dynamics import Simulation
+
+    ext = record.extents
+    losers = record.post(record.loser_index)
+    grid = np.zeros(int(np.prod(ext)), dtype=np.int64)
+    # each chunk starts at the loser the one before it ends at
+    for a in range(0, len(losers) - 1, Simulation.CHUNK):
+        pos = coordinates(losers[a:a + Simulation.CHUNK + 1], ext).reshape(-1, len(ext))
+        cells = np.bincount(np.ravel_multi_index(np.abs(np.diff(pos, axis=0)).T, ext))
+        grid[:cells.size] += cells
+    cells = np.flatnonzero(grid)
+    d = np.array(np.unravel_index(cells, ext), dtype=np.float64)
+    if mode == "min_image":
+        d = np.minimum(d, np.array(ext, dtype=np.float64)[:, None] - d)
+    elif mode != "raw":
+        raise ValueError(f"unknown distance mode {mode!r}")
+    if metric == "norm":
+        xi = np.sqrt(np.sum(d * d, axis=0))
+    elif metric == "component":
+        xi = d[0]
+    else:
+        raise ValueError(f"unknown distance metric {metric!r}")
+    cum_x, inverse = np.unique(xi, return_inverse=True)
+    counts = np.bincount(inverse, weights=grid[cells]).astype(np.int64)
+    n_jumps = int(counts.sum())
+    if n_jumps < 1000:
+        warnings.warn(f"only {n_jumps} jumps, statistics will be poor",
                       StatisticsWarning, stacklevel=2)
-    L = float(record.extents[0])
-    cum_x, counts = np.unique(xi, return_counts=True)
-    cum_f = np.cumsum(counts) / xi.size
-
+    L = float(ext[0])
     half = L / 2.0
-    near = xi[(xi >= 1.0) & (xi <= half)]
-    far = np.abs(L - xi[xi > half])
-    far = far[far >= 1.0]
-
-    pi1 = pi2 = None
-    try:
-        pi1 = _fit_branch(near, half)
-    except FitDomainError:
-        pass
-    try:
-        pi2 = _fit_branch(far, half)
-    except FitDomainError:
-        pass
-    return JumpStats(distances=xi, mode=mode, metric=metric,
-                     cumulative_x=cum_x, cumulative_f=cum_f, pi1=pi1, pi2=pi2)
+    u = np.abs(L - cum_x)
+    near = (cum_x >= 1.0) & (cum_x <= half)
+    far = (cum_x > half) & (u >= 1.0)
+    return JumpStats(cumulative_x=cum_x, counts=counts,
+                     cumulative_f=np.cumsum(counts) / n_jumps,
+                     pi1=_fit_branch(cum_x[near], counts[near], half),
+                     pi2=_fit_branch(u[far], counts[far], half))
 
 
 # ----------------------------------------------------------------------

@@ -335,8 +335,8 @@ def cmd_walk_stats(ecfg, args):
         "seed": seed,
         "kind": record.kind,
         "n_jumps": stats.n_jumps,
-        "mode": stats.mode,
-        "metric": stats.metric,
+        "mode": ecfg.distance_mode,
+        "metric": ecfg.distance_metric,
         "fitted": bool(fitted),
         "pi1": _fit_dict(stats.pi1 if is_lattice else None),
         "pi2": _fit_dict(stats.pi2 if is_lattice else None),

@@ -488,6 +488,9 @@ class RunRecord:
                                      "with no complete column line")
                 if line.startswith("#"):
                     parts = line[1:].split()
+                    if len(parts) < 2:
+                        raise ValueError(f"{path}: the header line {line.rstrip()!r} "
+                                         "holds no value")
                     meta[parts[0]] = parts[1:]
                 else:
                     header = line.split()
@@ -504,32 +507,48 @@ class RunRecord:
             raise ValueError(f"{path}: rows hold {data.shape[1]} fields, "
                              f"the header names {len(header)}")
         col = {name: k for k, name in enumerate(header)}
+
+        def number(kind, key, text):
+            try:
+                return kind(text)
+            except ValueError as exc:
+                raise ValueError(f"{path}: the header's {key} {text!r} "
+                                 f"does not read as {kind.__name__}") from exc
+
         activity = None
         if "activity" in col:
             activity = data[:, col["activity"]].astype(np.int32)
-        f0 = float(meta["activity_f0"][0]) if "activity_f0" in meta else None
+        f0 = None
+        if "activity_f0" in meta:
+            f0 = number(float, "activity_f0", meta["activity_f0"][0])
+        transient = number(int, "transient_steps", meta["transient_steps"][0])
+        n_agents = number(int, "n_agents", meta["n_agents"][0])
+        losers = data[:, col["loser_idx"]].astype(np.int64)
+        if losers.size and not 0 <= losers.min() <= losers.max() < n_agents:
+            raise ValueError(f"{path}: a loser_idx lies outside the {n_agents} agents")
         config = None
         if "config" in meta:
             kv = meta["config"]
             fields = dict(zip(kv[::2], kv[1::2]))
-            config = SimConfig(
-                seed=int(fields["seed"]),
-                eta_max=float(fields["eta_max"]),
-                price_floor=float(fields["price_floor"]),
-                total_steps=int(fields["total_steps"]),
-                transient_steps=int(meta["transient_steps"][0]))
+            kinds = {"seed": int, "eta_max": float, "price_floor": float, "total_steps": int}
+            missing = [key for key in kinds if key not in fields]
+            if missing:
+                raise ValueError(f"{path}: the config header line has no "
+                                 + " and no ".join(missing))
+            config = SimConfig(**{key: number(kind, f"config {key}", fields[key])
+                                  for key, kind in kinds.items()}, transient_steps=transient)
         return cls(
-            n_agents=int(meta["n_agents"][0]),
-            extents=tuple(int(v) for v in meta["extents"]),
+            n_agents=n_agents,
+            extents=tuple(number(int, "extents", v) for v in meta["extents"]),
             kind=meta.get("kind", ["custom"])[0],
             config=config,
-            transient_steps=int(meta["transient_steps"][0]),
-            loser_index=data[:, col["loser_idx"]].astype(np.int64),
+            transient_steps=transient,
+            loser_index=losers,
             min_profit=data[:, col["min_profit"]],
             mean_price=data[:, col["mean_price"]],
             renorm_flags=data[:, col["renorm_flag"]].astype(bool),
             activity=activity, activity_f0=f0,
-            start_step=int(meta.get("start_step", ["0"])[0]),
+            start_step=number(int, "start_step", meta.get("start_step", ["0"])[0]),
             config_hash=meta.get("config_hash", [None])[0])
 
 

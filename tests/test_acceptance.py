@@ -262,7 +262,7 @@ def test_criterion_7_reduced_lattice_two_branch_structure():
     cfg = sm.SimConfig(total_steps=250_000, transient_steps=50_000, seed=5)
     rec = sm.run(net, wts, cfg)
     stats = sm.loser_jump_stats(rec)
-    xi = stats.distances
+    xi = np.repeat(stats.cumulative_x, stats.counts)
     has_far_mass = np.mean(xi > 25.0) > 0.001
     ok = (stats.pi1 is not None and stats.pi2 is not None
           and stats.pi1.exponent > 0 and stats.pi2.exponent > 0

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -352,45 +353,98 @@ def _record_from_positions(ids, extents, kind="corner_rt", transient=0):
         renorm_flags=np.zeros(T, dtype=bool), kind=kind)
 
 
+def _reference_jump_stats(record, mode, metric):
+    """loser_jump_stats computed per jump, as before the jumps were counted
+    by displacement: every jump's distance, np.unique over them, and each
+    branch fitted on its samples.  (cumulative_x, cumulative_f, n_jumps,
+    pi1, pi2)."""
+    pos = record.post(record.positions).astype(np.float64)
+    if pos.ndim == 1:
+        pos = pos[:, None]
+    ext = np.asarray(record.extents, dtype=np.float64)
+    d = np.abs(np.diff(pos, axis=0))
+    if mode == "min_image":
+        d = np.minimum(d, ext - d)
+    xi = np.sqrt(np.sum(d * d, axis=1)) if metric == "norm" else d[:, 0]
+    cum_x, counts = np.unique(xi, return_counts=True)
+    L = float(record.extents[0])
+    half = L / 2.0
+
+    def fit_branch(samples):
+        v = np.rint(samples).astype(np.int64)
+        v = v[v >= 1]
+        if v.size == 0:
+            return None
+        dist = sm.log_bin(v)
+        complete = dist.bin_hi <= half
+        if not complete.any():
+            return None
+        try:
+            return sm.fit_power_law(dist, (1.0, float(dist.x[complete][-1])))
+        except FitDomainError:
+            return None
+
+    far = np.abs(L - xi[xi > half])
+    return (cum_x, np.cumsum(counts) / xi.size, xi.size,
+            fit_branch(xi[(xi >= 1.0) & (xi <= half)]), fit_branch(far[far >= 1.0]))
+
+
+def _heavy_walk(rng, extents, n):
+    """n loser ids on a periodic line or lattice whose steps along each
+    axis are rounded Pareto draws of either sign: many zero and short
+    jumps, and some that wrap."""
+    dim = len(extents)
+    steps = np.rint(rng.pareto(1.0, size=(n, dim))).astype(np.int64)
+    pos = np.cumsum(steps * rng.choice([-1, 1], size=(n, dim)), axis=0) % extents[0]
+    return pos[:, 0] if dim == 1 else pos[:, 0] + extents[0] * pos[:, 1]
+
+
 class TestJumpDistances:
     # agent id = x + y*L on the lattices, so (x, y) is x + 10*y here
+    pytestmark = pytest.mark.filterwarnings("ignore::socmarket.errors.StatisticsWarning")
+
     def test_1d_raw_and_min_image(self):
         rec = _record_from_positions([1, 9], (10,), kind="ring")
-        assert sm.jump_distances(rec, mode="raw").tolist() == [8.0]
-        assert sm.jump_distances(rec, mode="min_image").tolist() == [2.0]
+        raw = sm.loser_jump_stats(rec, mode="raw")
+        assert raw.cumulative_x.tolist() == [8.0] and raw.counts.tolist() == [1]
+        assert sm.loser_jump_stats(rec, mode="min_image").cumulative_x.tolist() == [2.0]
 
     def test_2d_norm(self):
         rec = _record_from_positions([3, 0, 55], (10, 10))
-        d = sm.jump_distances(rec)
-        assert d[0] == 3.0
-        assert d[1] == pytest.approx(np.sqrt(50))
+        stats = sm.loser_jump_stats(rec)
+        assert stats.cumulative_x.tolist() == [3.0, pytest.approx(np.sqrt(50))]
+        assert stats.counts.tolist() == [1, 1]
 
     def test_component_metric(self):
-        rec = _record_from_positions([30, 64], (10, 10))
-        assert sm.jump_distances(rec, metric="component").tolist() == [4.0]
+        rec = _record_from_positions([30, 64, 30, 31], (10, 10))
+        stats = sm.loser_jump_stats(rec, metric="component")
+        assert stats.cumulative_x.tolist() == [1.0, 4.0]
+        assert stats.counts.tolist() == [1, 2]
 
     def test_symmetry(self, rng):
         for _ in range(50):
             L = int(rng.integers(4, 20))
             ids = rng.integers(0, L * L, size=20)
             for mode in ("raw", "min_image"):
-                forth = sm.jump_distances(_record_from_positions(ids, (L, L)), mode=mode)
-                back = sm.jump_distances(_record_from_positions(ids[::-1], (L, L)),
-                                         mode=mode)
-                assert np.array_equal(forth, back[::-1])
+                forth = sm.loser_jump_stats(_record_from_positions(ids, (L, L)), mode=mode)
+                back = sm.loser_jump_stats(_record_from_positions(ids[::-1], (L, L)),
+                                           mode=mode)
+                assert np.array_equal(forth.cumulative_x, back.cumulative_x)
+                assert np.array_equal(forth.counts, back.counts)
 
     @pytest.mark.parametrize("kw", [dict(mode="wrapped"), dict(metric="max")])
     def test_unknown_mode_or_metric(self, kw):
         rec = _record_from_positions([0, 3], (10, 10))
         with pytest.raises(ValueError):
-            sm.jump_distances(rec, **kw)
+            sm.loser_jump_stats(rec, **kw)
 
 
 class TestJumpStats:
     def test_fixed_loser_gives_zero_distances(self):
         rec = _record_from_positions(np.full(5000, 7), (10, 10))
         stats = sm.loser_jump_stats(rec)
-        assert np.all(stats.distances == 0.0)
+        assert stats.cumulative_x.tolist() == [0.0]
+        assert stats.counts.tolist() == [4999]
         assert stats.pi1 is None and stats.pi2 is None  # nothing at xi >= 1
 
     def test_known_power_law_walk(self, rng):
@@ -424,10 +478,40 @@ class TestJumpStats:
         rec = _record_from_positions(ids, (10, 10))
         for mode in ("raw", "min_image"):
             for metric in ("norm", "component"):
-                xi = sm.jump_distances(rec, mode=mode, metric=metric)
-                assert xi.size == 2999
+                stats = sm.loser_jump_stats(rec, mode=mode, metric=metric)
+                assert stats.n_jumps == 2999
                 if mode == "min_image":
-                    assert xi.max() <= np.sqrt(50) + 1e-9
+                    assert stats.cumulative_x.max() <= np.sqrt(50) + 1e-9
+
+    @pytest.mark.filterwarnings("ignore::socmarket.errors.StatisticsWarning")
+    @pytest.mark.parametrize("chunk", [1, 7, 8192])
+    def test_counting_matches_the_per_jump_reference(self, rng, monkeypatch, chunk):
+        # chunk edges fall inside the window, which the transient ends
+        # inside; it also holds 0 and 1 jumps, and a loser that never moves
+        monkeypatch.setattr(sm.Simulation, "CHUNK", chunk)
+        records = [_record_from_positions(_heavy_walk(rng, (64,), 6000), (64,), "ring", 900),
+                   _record_from_positions(_heavy_walk(rng, (101,), 3000), (101,), "er", 1200),
+                   _record_from_positions(_heavy_walk(rng, (32, 32), 8000), (32, 32), "corner_rt",
+                                          300),
+                   _record_from_positions(_heavy_walk(rng, (15, 15), 4000), (15, 15), "corner_ft",
+                                          77),
+                   _record_from_positions(np.full(300, 7), (10, 10), transient=20),
+                   _record_from_positions([3, 5, 8], (10, 10), transient=2),
+                   _record_from_positions([3, 5, 8], (10, 10), transient=1),
+                   _record_from_positions([3, 5, 8], (10, 10), transient=3)]
+        records.append(dataclasses.replace(records[1], start_step=500))
+        fitted = 0
+        for rec in records:
+            for mode in ("raw", "min_image"):
+                for metric in ("norm", "component"):
+                    stats = sm.loser_jump_stats(rec, mode=mode, metric=metric)
+                    cum_x, cum_f, n_jumps, pi1, pi2 = _reference_jump_stats(rec, mode, metric)
+                    assert np.array_equal(stats.cumulative_x, cum_x)
+                    assert np.array_equal(stats.cumulative_f, cum_f)
+                    assert stats.n_jumps == n_jumps
+                    assert (repr(stats.pi1), repr(stats.pi2)) == (repr(pi1), repr(pi2))
+                    fitted += (pi1 is not None) + (pi2 is not None)
+        assert fitted >= 20  # the fits are compared, not only their absence
 
 
 class TestGammaSt:

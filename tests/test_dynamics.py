@@ -8,7 +8,7 @@ import pytest
 
 import socmarket as sm
 from socmarket import _kernel
-from socmarket.errors import ConsistencyError, MarketDomainError
+from socmarket.errors import ConsistencyError, MarketDomainError, StatisticsWarning
 
 from conftest import customer_rows, random_instance, supplier_rows
 
@@ -315,9 +315,10 @@ class TestRun:
         wts = sm.assign_weights_fixed(net, 0.5)
         cfg = sm.SimConfig(total_steps=50, transient_steps=5, seed=0)
         rec = sm.run(net, wts, cfg)
-        d = sm.jump_distances(rec)
-        assert d.shape == (len(rec.post(rec.positions)) - 1,)
-        assert np.all(d >= 0.0)
+        with pytest.warns(StatisticsWarning):  # fewer than 1 000 jumps
+            stats = sm.loser_jump_stats(rec)
+        assert stats.n_jumps == len(rec.post(rec.positions)) - 1
+        assert np.all(stats.cumulative_x >= 0.0)
 
     def test_activity_column_matches_offline_signal(self):
         net, wts, cfg = small_setup()
@@ -876,24 +877,32 @@ class TestCandidateCount:
 
 class TestRecordSerialization:
     # the record ends before its column line, inside it, or inside a line
-    # before it; or it lacks a header line or a column
-    @pytest.mark.parametrize("cut,missing", [
-        (1, None), (8, None), (-3, None), (b"# extents 10\n", "extents header line"),
-        (b" min_profit", "min_profit column")],
-        ids=["before", "inside", "meta", "no-extents", "no-min_profit"])
-    def test_record_cut_in_its_header_is_refused(self, tmp_path, cut, missing):
+    # before it; or it lacks a header line or a column; or a header line
+    # holds no value, the config line lacks a field, or a field is no number
+    @pytest.mark.parametrize("cut,paste,message", [
+        (1, None, "the record ends inside its header, with no complete column line"),
+        (8, None, "the record ends inside its header, with no complete column line"),
+        (-3, None, "the record ends inside its header, with no complete column line"),
+        (b"# extents 10\n", b"", "the record has no extents header line"),
+        (b" min_profit", b"", "the record has no min_profit column"),
+        (b"# kind ring\n", b"# kind ring\n#\n", "the header line '#' holds no value"),
+        (b" eta_max 0.01", b"", "the config header line has no eta_max"),
+        (b"# n_agents 10\n", b"# n_agents x\n",
+         "the header's n_agents 'x' does not read as int")],
+        ids=["before", "inside", "meta", "no-extents", "no-min_profit", "bare-hash",
+             "no-eta_max", "n_agents-x"])
+    def test_record_cut_in_its_header_is_refused(self, tmp_path, cut, paste, message):
         net = sm.build_ring(10)
         cfg = sm.SimConfig(total_steps=20, transient_steps=0, seed=1)
         path = tmp_path / "run.txt"
         sm.run(net, sm.assign_weights_fixed(net, 0.4), cfg).save_text(path)
         data = path.read_bytes()
-        if missing:
-            path.write_bytes(data.replace(cut, b"", 1))
-            message = f"{path}: the record has no {missing}"
-        else:
+        if paste is None:
             path.write_bytes(data[:data.index(b"\nt loser_idx ") + cut])
-            message = f"{path}: the record ends inside its header, with no complete column line"
-        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        else:
+            assert cut in data
+            path.write_bytes(data.replace(cut, paste, 1))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}") + "$"):
             sm.RunRecord.load_text(path)
 
     def test_text_roundtrip(self, tmp_path):
@@ -1117,6 +1126,22 @@ class TestRecordSerialization:
         path.write_bytes(head + b"".join(lines))
         width = 5 if damage == "dropped" else 7
         with pytest.raises(ValueError, match=f"rows hold {width} fields, the header names 6"):
+            sm.RunRecord.load_text(path)
+
+
+    @pytest.mark.parametrize("loser", [b"-1", b"10"])
+    def test_losers_outside_the_agents_are_refused(self, tmp_path, loser):
+        # a loser no agent holds gives no position on the ring
+        net = sm.build_ring(10)
+        cfg = sm.SimConfig(total_steps=20, transient_steps=0, seed=1)
+        rec = sm.run(net, sm.assign_weights_fixed(net, 0.4), cfg)
+        path, head, rows = self.saved_rows(tmp_path, rec)
+        first, rest = rows.split(b"\n", 1)
+        fields = first.split(b" ")
+        fields[1] = loser
+        path.write_bytes(head + b" ".join(fields) + b"\n" + rest)
+        message = f"{path}: a loser_idx lies outside the 10 agents"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
             sm.RunRecord.load_text(path)
 
 
