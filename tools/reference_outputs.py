@@ -1,12 +1,14 @@
 """Check the reference commands' outputs against their recorded digests.
 
-Runs the eleven reference commands in a temporary directory, in order: the
-four `configs/*.ini` commands; `avalanche-stats` on
+Runs the thirteen reference commands in a temporary directory, in order:
+the four `configs/*.ini` commands; `avalanche-stats` on
 `rt_lattice_avalanches.ini` with `--f0-quantile 0.01`, with `--f0 -0.0047`
 and with `--f0 -1` (which finds no avalanches and falls back to a scan);
 `run` on `rt_walk.ini` (a 2-D record and its checkpoint) and `walk-stats
---run` on the record it wrote; and `run` on `ring_decay.ini` (a 1-D
-record) and `walk-stats --run` on that record.  It hashes every file they
+--run` on the record it wrote; `run` on `ring_decay.ini` (a 1-D record)
+and `walk-stats --run` on that record; and `run` on
+`rt_lattice_avalanches.ini` with `--f0 -0.0047` (a record with an activity
+column) and `avalanche-stats --run` on that record.  It hashes every file they
 write (keyed by its path under `out/`), and each command's stdout with its
 exit code appended (`out_<name>.stdout`) and its stderr
 (`out_<name>.stderr`), and compares the digests with
@@ -46,6 +48,10 @@ COMMANDS = {
     "ring_run": ["run", "--config", "configs/ring_decay.ini", "--out", "out/ring_run"],
     "ring_walk_run": ["walk-stats", "--run", "out/ring_run/run_seed55.txt",
                       "--out", "out/ring_walk_run"],
+    "rt_f0_run": ["run", "--config", "configs/rt_lattice_avalanches.ini",
+                  "--f0", "-0.0047", "--out", "out/rt_f0_run"],
+    "rt_f0_recorded": ["avalanche-stats", "--run", "out/rt_f0_run/run_seed11.txt",
+                       "--out", "out/rt_f0_recorded"],
 }
 
 
