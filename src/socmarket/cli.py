@@ -8,8 +8,9 @@ distributions, exponents and the scaling relation), and `decay-check`
 the config hash embedded, and reruns are byte-identical.
 
 The module keeps no statistics or defaults of its own: the INI is read
-through INI_KEYS onto the config dataclasses, and avalanche-stats fits
-through analysis.avalanche_exponents.
+through INI_KEYS onto the config dataclasses, each network kind is built
+through TOPOLOGY, and avalanche-stats fits through
+analysis.avalanche_exponents.
 
 Exit codes: 0 success, 1 config error, 2 runtime error, 3 statistics
 warning escalated by --strict.
@@ -33,13 +34,15 @@ import numpy as np
 from . import __version__, analysis, dynamics, topology
 from .errors import ConfigError, StatisticsWarning, TopologyError
 
-# [topology] keys each buildable kind needs
-TOPOLOGY_KEYS = {
-    "ring": ("n",),
-    "manhattan": ("L",),
-    "f_lattice": ("L",),
-    "corner": ("L",),
-    "er_embedded": ("n", "alpha"),
+# [topology] kind -> (the keys it needs, its builder): the builder takes
+# the ExperimentConfig and the seed's network stream
+TOPOLOGY = {
+    "ring": (("n",), lambda e, rng: topology.build_ring(e.n)),
+    "manhattan": (("L",), lambda e, rng: topology.build_manhattan(e.L)),
+    "f_lattice": (("L",), lambda e, rng: topology.build_f_lattice(e.L)),
+    "corner": (("L",), lambda e, rng: topology.build_corner_lattice(e.L, e.corner or "RT")),
+    "er_embedded": (("n", "alpha"),
+                    lambda e, rng: topology.build_er_embedded(e.n, e.alpha, rng)),
 }
 
 
@@ -78,9 +81,10 @@ class ExperimentConfig:
             self.sim.validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.kind not in TOPOLOGY_KEYS:
+        if self.kind not in TOPOLOGY:
             raise ConfigError(f"unknown network kind {self.kind!r}")
-        missing = [key for key in TOPOLOGY_KEYS[self.kind] if getattr(self, key) is None]
+        keys, _ = TOPOLOGY[self.kind]
+        missing = [key for key in keys if getattr(self, key) is None]
         if missing:
             raise ConfigError(f"[topology] kind = {self.kind} needs "
                               + " and ".join(missing))
@@ -174,17 +178,15 @@ def load_config(path):
 
 
 def build_experiment(ecfg, seed):
-    """Network, weights and sim config for one ensemble member.
+    """Network, weights and sim config for one ensemble member of a
+    validated config; the network comes from its kind's TOPOLOGY builder.
 
-    Random topologies and weights draw from streams derived from the seed,
-    so every ensemble member is fully reproducible from its seed alone.
+    Random topologies and weights draw from streams derived from the seed
+    ([seed, 1] and [seed, 2]), so every ensemble member is fully
+    reproducible from its seed alone.
     """
-    kind = ecfg.kind
-    if kind == "corner":
-        kind = f"corner_{(ecfg.corner or 'rt').lower()}"
-    net = topology.build_network(
-        kind, n=ecfg.n, L=ecfg.L, alpha=ecfg.alpha,
-        rng=np.random.default_rng([seed, 1]))
+    _, build = TOPOLOGY[ecfg.kind]
+    net = build(ecfg, np.random.default_rng([seed, 1]))
     if ecfg.scheme == "fixed":
         wts = topology.assign_weights_fixed(net, ecfg.a)
     elif ecfg.scheme == "uniform":
@@ -219,21 +221,20 @@ def _write_csv(path, header, columns, meta=""):
 # ----------------------------------------------------------------------
 # commands
 
-def _threshold_scan(ecfg, net, wts, sim_cfg, f0_grid=None):
-    """The post-transient scan on f0_grid (the critical-threshold grid
-    when None), keeping each threshold's avalanches, not its activity."""
-    return analysis.threshold_scan(
-        net, wts, sim_cfg, f0_grid=f0_grid, engine=ecfg.engine,
+def _scan(ecfg, net, wts, sim_cfg, f0=None):
+    """(f0, its avalanche events) from the post-transient scan of the single
+    threshold f0, or of the critical-threshold grid when f0 is None, which
+    gives the grid's best threshold.  The scan keeps each threshold's
+    avalanches, not its activity."""
+    scan = analysis.threshold_scan(
+        net, wts, sim_cfg, f0_grid=None if f0 is None else [f0], engine=ecfg.engine,
         size_range=(ecfg.fit_min, ecfg.fit_max))
-
-
-def _scan_for_threshold(ecfg, net, wts, sim_cfg):
-    """Critical-threshold scan; returns (f0, mode, its avalanche events)."""
-    scan = _threshold_scan(ecfg, net, wts, sim_cfg)
+    if f0 is not None:
+        return f0, scan.events(0)
     if scan.best is None:
         notes = "; ".join(f"{e.f0:.4g}: {e.note}" for e in scan.entries)
         raise ConfigError(f"no usable activity threshold found ({notes})")
-    return scan.best_entry.f0, "scan", scan.events(scan.best)
+    return scan.best_entry.f0, scan.events(scan.best)
 
 
 def _configured_f0(ecfg, net, wts, sim_cfg):
@@ -367,10 +368,8 @@ def cmd_avalanche_stats(ecfg, args):
         config_hash, seed = ecfg.digest(), ecfg.sim.seed
         net, wts, sim_cfg = build_experiment(ecfg, ecfg.sim.seed)
         f0, f0_mode = _configured_f0(ecfg, net, wts, sim_cfg)
-        if f0 is None:
-            f0, f0_mode, events = _scan_for_threshold(ecfg, net, wts, sim_cfg)
-        else:
-            events = _threshold_scan(ecfg, net, wts, sim_cfg, [f0]).events(0)
+        f0_mode = f0_mode or "scan"
+        f0, events = _scan(ecfg, net, wts, sim_cfg, f0)
     out = Path(ecfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if len(events) == 0 and not args.run and ecfg.f0 is not None:
@@ -380,7 +379,7 @@ def cmd_avalanche_stats(ecfg, args):
         warnings.warn("absolute f0 produced no avalanches; falling back to "
                       "a critical-threshold scan",
                       StatisticsWarning, stacklevel=2)
-        f0, _, events = _scan_for_threshold(ecfg, net, wts, sim_cfg)
+        f0, events = _scan(ecfg, net, wts, sim_cfg)
         f0_mode = "scan (fallback)"
     if len(events) < analysis.MIN_EVENTS:
         warnings.warn(f"only {len(events)} avalanche events (< {analysis.MIN_EVENTS})",

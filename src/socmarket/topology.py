@@ -251,21 +251,6 @@ def build_er_embedded(n_agents, alpha, rng):
     return TradeNetwork(np.split(np.nonzero(mat)[1], ptr[1:-1]), (n,), "er_embedded")
 
 
-def build_network(kind, *, n=None, L=None, alpha=None, rng=None):
-    """Dispatch to a builder from a kind tag and keyword parameters."""
-    if kind == "ring":
-        return build_ring(n)
-    if kind == "manhattan":
-        return build_manhattan(L)
-    if kind == "f_lattice":
-        return build_f_lattice(L)
-    if kind.startswith("corner_"):
-        return build_corner_lattice(L, kind.split("_", 1)[1])
-    if kind == "er_embedded":
-        return build_er_embedded(n, alpha, rng)
-    raise TopologyError(f"unknown network kind {kind!r}")
-
-
 # ----------------------------------------------------------------------
 # expenditure weights
 

@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import socmarket as sm
@@ -131,6 +132,33 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"needs {key}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("[topology]\nkind = torus\nn = 10\n", "unknown network kind 'torus'"),
+        ("[topology]\nkind = ring\nn = 10\n[weights]\nscheme = equal\n",
+         "unknown weight scheme 'equal'"),
+        ("[topology]\nkind = ring\nn = 10\n[analysis]\ndistance_mode = wrapped\n",
+         "unknown distance_mode 'wrapped'"),
+        ("[topology]\nkind = ring\nn = 10\n[analysis]\ndistance_metric = max\n",
+         "unknown distance_metric 'max'"),
+        ("[topology]\nkind = ring\nn = 10\n[output]\nengine = fast\n",
+         "unknown engine 'fast'"),
+    ], ids=["kind", "scheme", "distance_mode", "distance_metric", "engine"])
+    def test_unknown_choices_rejected(self, tmp_path, capsys, text, message):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.ini", text)
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("corner, kind", [("", "corner_rt"), ("corner = lb\n", "corner_lb")],
+                             ids=["default", "lowercase"])
+    def test_corner_key_picks_the_lattice(self, tmp_path, corner, kind):
+        cfg = write_config(tmp_path / "c.ini", f"[topology]\nkind = corner\nL = 4\n{corner}")
+        net, _, _ = cli.build_experiment(cli.load_config(cfg).validate(), 0)
+        want = sm.build_corner_lattice(4, kind[-2:])
+        assert net.kind == kind
+        assert np.array_equal(net.sup_idx, want.sup_idx)
 
     def test_corner_is_the_one_spelling_of_a_corner_lattice(self, tmp_path, capsys):
         # kind = corner with corner = LT; corner_lt is not a second name
@@ -656,12 +684,12 @@ class TestBuildCount:
     @staticmethod
     def _count_builds(monkeypatch):
         calls = []
-        build = cli.topology.build_network
+        build = cli.build_experiment
 
         def counting(*args, **kwargs):
             calls.append(args)
             return build(*args, **kwargs)
-        monkeypatch.setattr(cli.topology, "build_network", counting)
+        monkeypatch.setattr(cli, "build_experiment", counting)
         return calls
 
     def test_run_builds_once_and_recorded_analyses_build_nothing(

@@ -1144,6 +1144,32 @@ class TestRecordSerialization:
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
             sm.RunRecord.load_text(path)
 
+    @pytest.mark.parametrize("column, value, message", [
+        (1, b"3.7", "the loser_idx value 3.7 is not a whole number"),
+        (1, b"nan", "the loser_idx value nan is not a whole number"),
+        (5, b"2", "the renorm_flag value 2 is not 0 or 1"),
+        (5, b"0.5", "the renorm_flag value 0.5 is not 0 or 1"),
+        (6, b"2.5", "the activity value 2.5 is not a whole number >= 0"),
+        (6, b"-1", "the activity value -1 is not a whole number >= 0"),
+        (6, b"3e9", "the activity value 3e+09 is not a whole number >= 0"),
+    ], ids=["loser-fraction", "loser-nan", "flag-2", "flag-half", "activity-fraction",
+            "activity-negative", "activity-overflow"])
+    def test_values_the_columns_cannot_hold_are_refused(self, tmp_path, column, value,
+                                                        message):
+        # the columns are read as floats; casting one must not change a value
+        net = sm.build_ring(10)
+        cfg = sm.SimConfig(total_steps=20, transient_steps=0, seed=1)
+        rec = sm.run(net, sm.assign_weights_fixed(net, 0.4), cfg, activity_f0=-0.004)
+        path, head, rows = self.saved_rows(tmp_path, rec)
+        names = head.decode().splitlines()[-1].split()
+        assert message.startswith(f"the {names[column]} value")
+        first, rest = rows.split(b"\n", 1)
+        fields = first.split(b" ")
+        fields[column] = value
+        path.write_bytes(head + b" ".join(fields) + b"\n" + rest)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}") + "$"):
+            sm.RunRecord.load_text(path)
+
 
 class TestCheckpointResume:
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
