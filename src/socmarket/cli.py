@@ -238,9 +238,10 @@ def _scan(ecfg, net, wts, sim_cfg, f0=None):
 
 
 def _configured_f0(ecfg, net, wts, sim_cfg):
-    """(f0, how it was set) from f0 or f0_quantile; (None, None) if neither."""
+    """(f0, how it was set) from f0 or f0_quantile; (None, "scan") if
+    neither, for the scan then sets it."""
     if ecfg.f0_quantile is None:
-        return (None, None) if ecfg.f0 is None else (float(ecfg.f0), "absolute")
+        return (None, "scan") if ecfg.f0 is None else (float(ecfg.f0), "absolute")
     f0 = analysis.stationary_profit_quantile(
         dynamics.Simulation(net, wts, sim_cfg, engine=ecfg.engine), ecfg.f0_quantile)
     return f0, f"quantile({ecfg.f0_quantile})"
@@ -368,7 +369,6 @@ def cmd_avalanche_stats(ecfg, args):
         config_hash, seed = ecfg.digest(), ecfg.sim.seed
         net, wts, sim_cfg = build_experiment(ecfg, ecfg.sim.seed)
         f0, f0_mode = _configured_f0(ecfg, net, wts, sim_cfg)
-        f0_mode = f0_mode or "scan"
         f0, events = _scan(ecfg, net, wts, sim_cfg, f0)
     out = Path(ecfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
