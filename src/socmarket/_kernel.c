@@ -51,9 +51,11 @@ typedef struct {
     int64_t n, size;
     /* sum of the prices, kept by the cuts */
     double psum;
-    /* one block of steps: step j cuts the loser's price by the factor
-       1 - eta_max * u[j] and writes loser[j], min_profit[j] and
-       mean_price[j] */
+    /* one call of socm_advance: step j cuts the loser's price by the
+       factor 1 - eta_max * u[j] and writes loser[j], min_profit[j] and
+       mean_price[j]; u, loser, min_profit, mean_price and activity hold
+       the last call's addresses after it returns, and the engine's one
+       caller (Simulation._kernel_block) sets them before each call */
     const double *u;
     int32_t *loser;
     double *min_profit, *mean_price;
@@ -83,15 +85,19 @@ typedef struct {
 
 /* The winner of a and b, where a's leaves lie left of b's: b wins only with
    a smaller profit, or a NaN against a number, so the root is np.argmin's
-   answer (the lowest index among equal minima, the first NaN if any). */
+   answer (the lowest index among equal minima, the first NaN if any).  It
+   selects with a mask, not a branch: the outcome follows the profits, and
+   a branch on it is often mispredicted in the tree's repairs. */
 static int32_t winner(const double *profit, int32_t a, int32_t b)
 {
     double x, y;
+    int32_t take;
     if (b < 0)
         return a;
     x = profit[a];
     y = profit[b];
-    return (y < x || (y != y && x == x)) ? b : a;
+    take = -(int32_t)((y < x) | ((y != y) & (x == x)));
+    return (b & take) | (a & ~take);
 }
 
 /* Replay every match of the loser tree, from the leaves up. */

@@ -39,8 +39,9 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 class Market(ctypes.Structure):
     """The kernel's `market` struct: addresses of the engine's arrays and
-    the loser tree's, the price sum, one block of steps' buffers and
-    settings, and the activity's sorted grid, bands and buckets."""
+    the loser tree's, the price sum, the step loop's settings and the
+    addresses of its last call's draws and output arrays, and the
+    activity's sorted grid, bands and buckets."""
     _fields_ = [
         *((name, ctypes.c_void_p) for name in (
             "p", "wants", "qp", "qW", "qt", "profit", "w", "sup_ptr", "sup_idx",

@@ -23,6 +23,7 @@ import configparser
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -90,6 +91,8 @@ class ExperimentConfig:
                               + " and ".join(missing))
         if self.f0 is not None and self.f0_quantile is not None:
             raise ConfigError("give f0 or f0_quantile, not both")
+        if self.f0 is not None and not math.isfinite(self.f0):
+            raise ConfigError(f"f0 must be finite, got {self.f0}")
         if self.f0_quantile is not None and not 0.0 < self.f0_quantile < 1.0:
             raise ConfigError("f0_quantile must lie in (0, 1)")
         if not 0 < self.fit_min < self.fit_max:

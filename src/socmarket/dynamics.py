@@ -2,8 +2,8 @@
 
 Each step: evaluate the market, find the agent with the least profit (the
 loser), cut its price by a random factor eta in [0, eta_max), record the
-step, repeat.  Simulation._advance drives these steps in blocks of cuts, and
-Simulation.blocks streams them, with their per-step arrays, in chunks.
+step, repeat.  Simulation._advance drives these steps in pieces of at most
+Simulation.CHUNK cuts, and Simulation.blocks streams their per-step arrays.
 Two interchangeable engines drive the evaluation:
 
 * full        -- market.evaluate_market over every agent each step (O(N)),
@@ -16,7 +16,7 @@ Two interchangeable engines drive the evaluation:
                  The neighborhood depends on the network alone, so the
                  engine builds it for every agent at once (update_plan),
                  as CSR arrays that the compiled kernel (_kernel.c) reads.
-                 The kernel runs a whole block of cuts: it takes each loser
+                 The kernel runs a whole piece of cuts: it takes each loser
                  from a loser tree, repaired once per node over the profit
                  phase, and counts the activity from per-agent threshold
                  buckets.
@@ -66,8 +66,8 @@ class SimConfig:
     renorm_threshold: Optional[float] = None
 
     def validate(self):
-        if not self.price_floor > 0.0:
-            raise ValueError(f"price_floor must be positive, got {self.price_floor}")
+        if not 0.0 < self.price_floor < math.inf:
+            raise ValueError(f"price_floor must be positive and finite, got {self.price_floor}")
         if not 0.0 < self.eta_max < 1.0:
             raise ValueError(f"eta_max must lie in (0, 1), got {self.eta_max}")
         if not 0 <= self.transient_steps < self.total_steps:
@@ -199,9 +199,9 @@ class MarketEngine:
     recompute_all and any assignment to `profit` rebuild it.  The kernel's
     one struct, `_market`, is bound here once (an address taken through
     ctypes costs about a kernel step): the state, the plan, the tree,
-    `psum`, one block's buffers and each agent's threshold bucket and band
-    slot; `_bind_grid` binds a threshold grid's sorted order, bands and
-    per-bucket counts.
+    `psum` and each agent's threshold bucket and band slot; `_bind_grid`
+    binds a threshold grid's sorted order, bands and per-bucket counts, and
+    `Simulation._kernel_block` each call's draws and output arrays.
     """
 
     p = _State()
@@ -213,8 +213,6 @@ class MarketEngine:
     # the state arrays evaluate_market's snapshot fields go to
     _SNAPSHOT = (("production", "_qp"), ("wants", "_wants"), ("demand", "_qW"),
                  ("traded", "_qt"), ("profit", "_profit"))
-    # price cuts drawn per generator call
-    _BLOCK = 1024
 
     def __init__(self, net, wts, prices, engine="incremental"):
         if engine not in ENGINES:
@@ -228,8 +226,6 @@ class MarketEngine:
         self._p = np.array(prices, dtype=np.float64)
         self._qp, self._qW, self._qt, self._profit = (np.empty(n) for _ in range(4))
         self._wants = np.empty(net.n_edges)
-        # one block's uniform draws; the cuts are eta_max times them
-        self._draws = np.empty(self._BLOCK)
         # the full engine's struct only holds the price sum
         self._market = _kernel.Market(n=n)
         if incremental:
@@ -239,20 +235,16 @@ class MarketEngine:
             self._w = np.ascontiguousarray(wts.weights_flat, dtype=np.float64)
             size = 1 << (n - 1).bit_length()  # leaves of the loser tree
             self._tree = np.empty(2 * size, dtype=np.int32)
-            # one block's losers, min profits and mean prices, and each
-            # agent's threshold bucket, the band list and each agent's place
-            # there
-            self._losers = np.empty(self._BLOCK, dtype=np.int32)
-            self._mins, self._means = np.empty((2, self._BLOCK))
+            # each agent's threshold bucket, the band list and each agent's
+            # place there
             self._bucket, self._band, self._slot = np.empty((3, n), dtype=np.int32)
             arrays = (self._p, self._wants, self._qp, self._qW, self._qt, self._profit,
                       self._w, net.sup_ptr, net.sup_idx, net.in_ptr, net.in_idx,
                       self._plan_ptr, self._plan, self._tree)
-            block = (self._draws, self._losers, self._mins, self._means)
             self._market = _kernel.Market(
                 *(a.ctypes.data for a in arrays), n, size, 0.0,
-                *(a.ctypes.data for a in block), bucket=self._bucket.ctypes.data,
-                band=self._band.ctypes.data, slot=self._slot.ctypes.data)
+                bucket=self._bucket.ctypes.data, band=self._band.ctypes.data,
+                slot=self._slot.ctypes.data)
             self._market_ref = ctypes.byref(self._market)
             self._update_agent = partial(lib.socm_update, self._market_ref)
         self.recompute_all()
@@ -625,8 +617,7 @@ def load_checkpoint(path):
 class Simulation:
     """Owns an engine, the random source, and the step loop (_advance)."""
 
-    _BLOCK = MarketEngine._BLOCK
-    # steps per chunk of blocks, and rows per block of RunRecord.save_text
+    # steps per piece of _advance and per chunk of blocks, rows per save_text write
     CHUNK = 8192
 
     def __init__(self, net, wts, config, engine="incremental"):
@@ -697,17 +688,17 @@ class Simulation:
         renormalization level, picks the loser, counts the agents with
         profit strictly below activity_f0 * mean_price (one count for a
         scalar, a row of counts for an array, none for None), and cuts the
-        loser's price by eta ~ U[0, eta_max).  Cuts are drawn in blocks of
-        at most _BLOCK (rng.random(m) gives the doubles of m single draws);
-        a block ends at every audit and checkpoint step.
+        loser's price by eta ~ U[0, eta_max).  Each piece of at most CHUNK
+        steps, which ends at every audit and checkpoint step, draws its cuts
+        at once (rng.random(m) gives the doubles of m single draws).
 
-        The incremental engine runs each block in the kernel
-        (_kernel.c, socm_advance) over the engine's struct and buffers,
-        which returns early when the prices need renormalising.  It counts
+        The incremental engine runs each piece in the kernel
+        (_kernel.c, socm_advance), which writes the per-step arrays in place
+        and returns early when the prices need renormalising.  It counts
         the activity at every step from per-agent buckets over the sorted
         thresholds (MarketEngine._bind_grid): a count per bucket, plus a
         compare of the few profits that lie inside a threshold's band; the
-        full engine runs each block in _full_block and counts with numpy.
+        full engine runs each piece in _full_block and counts with numpy.
         Both give the same counts.
 
         Returns per-step arrays (loser, min_profit, mean_price,
@@ -723,7 +714,7 @@ class Simulation:
             activity = np.empty((count,) + np.shape(activity_f0), dtype=np.int32)
             f0 = np.array(activity_f0, dtype=np.float64).reshape(-1)
             counts = activity.reshape(count, len(f0))  # a view, one row per step
-        block, draws, market = self._full_block, eng._draws, eng._market
+        block, market = self._full_block, eng._market
         if eng.incremental:
             block = self._kernel_block
             market.eta_max, market.level = self.config.eta_max, self._renorm_level
@@ -733,12 +724,12 @@ class Simulation:
             checkpoint_every = 0
         t, k, eta = self._t, 0, None
         while k < count:
-            m = min(count - k, self._BLOCK)
+            m = min(count - k, self.CHUNK)
             for every in (audit_interval, checkpoint_every):
                 if every:
                     m = min(m, every - t % every)
-            # the doubles of rng.random(m); the cuts are eta_max times them
-            block(k, rng.random(out=draws[:m]), *steps, f0, counts)
+            draws = rng.random(m)  # the cuts are eta_max times them
+            block(k, draws, *steps, f0, counts)
             eta = self.config.eta_max * draws.item(m - 1)
             k += m
             t += m
@@ -770,11 +761,13 @@ class Simulation:
 
     def _kernel_block(self, k, draws, loser_idx, min_profit, mean_price, renorm, f0, counts):
         """Steps k .. k + len(draws) - 1 of _advance in the kernel, with a
-        renormalisation wherever it stops early; the kernel writes the rows
-        of activity counts."""
-        eng = self._eng
-        eng._market.activity = None if counts is None else counts[k:].ctypes.data
-        market, advance, m = eng._market_ref, eng._lib.socm_advance, len(draws)
+        renormalisation wherever it stops early; the kernel reads the draws
+        and writes each array from row k on in place."""
+        eng, m, s = self._eng, len(draws), self._eng._market
+        s.u, s.loser, s.min_profit, s.mean_price = (
+            a.ctypes.data for a in (draws, loser_idx[k:], min_profit[k:], mean_price[k:]))
+        s.activity = None if counts is None else counts[k:].ctypes.data
+        market, advance = eng._market_ref, eng._lib.socm_advance
         done = 0
         while True:
             # renorm[k + done] is set where the kernel stopped for a
@@ -786,10 +779,7 @@ class Simulation:
                 break
             eng.renormalize()
             renorm[k + done] = True
-        loser_idx[k:k + m] = eng._losers[:m]
-        min_profit[k:k + m] = eng._mins[:m]
-        mean_price[k:k + m] = eng._means[:m]
-        c = eng._losers.item(m - 1)  # the profits the last cut recomputed
+        c = loser_idx.item(k + m - 1)  # the profits the last cut recomputed
         eng.touched_last = int(eng._plan_ptr[4 * c + 4] - eng._plan_ptr[4 * c + 3])
 
     @classmethod

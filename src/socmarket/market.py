@@ -39,8 +39,8 @@ def evaluate_market(prices, net, wts):
     p = np.asarray(prices, dtype=np.float64)
     if p.shape != (net.n_agents,):
         raise MarketDomainError(f"expected {net.n_agents} prices, got shape {p.shape}")
-    if not np.all(p > 0.0):
-        raise MarketDomainError("prices must be strictly positive")
+    if not np.all((p > 0.0) & (p < np.inf)):
+        raise MarketDomainError("prices must be strictly positive and finite")
     # agents' edge ids as columns of a (max degree, N) matrix, short ones
     # padded with an appended zero: summing over axis 0 adds each row left
     # to right, and float ** is libm pow, both as in the engine's kernel

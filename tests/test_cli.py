@@ -133,6 +133,16 @@ class TestConfigParsing:
         assert err.startswith("config error:") and f"needs {key}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("analysis, args", [
+        ("f0 = nan\n", []), ("f0 = inf\n", []), ("", ["--f0", "nan"]), ("", ["--f0=-inf"])],
+        ids=["nan", "inf", "option_nan", "option_inf"])
+    def test_f0_not_finite_is_refused(self, tmp_path, capsys, analysis, args):
+        cfg = write_config(tmp_path / "c.ini",
+                           f"[topology]\nkind = ring\nn = 10\n[analysis]\n{analysis}")
+        assert cli.main(["avalanche-stats", "--config", cfg, *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: f0 must be finite, got ")
+
     @pytest.mark.parametrize("text, message", [
         ("[topology]\nkind = torus\nn = 10\n", "unknown network kind 'torus'"),
         ("[topology]\nkind = ring\nn = 10\n[weights]\nscheme = equal\n",
@@ -143,7 +153,9 @@ class TestConfigParsing:
          "unknown distance_metric 'max'"),
         ("[topology]\nkind = ring\nn = 10\n[output]\nengine = fast\n",
          "unknown engine 'fast'"),
-    ], ids=["kind", "scheme", "distance_mode", "distance_metric", "engine"])
+        ("[topology]\nkind = ring\nn = 10\n[sim]\nprice_floor = inf\n",
+         "price_floor must be positive and finite, got inf"),
+    ], ids=["kind", "scheme", "distance_mode", "distance_metric", "engine", "price_floor"])
     def test_unknown_choices_rejected(self, tmp_path, capsys, text, message):
         out = tmp_path / "out"
         cfg = write_config(tmp_path / "c.ini", text)

@@ -47,6 +47,8 @@ class TestSimConfig:
         dict(renorm_threshold=-1.0),
         dict(renorm_threshold=1e-300),
         dict(seed=-3),
+        dict(price_floor=float("inf")),
+        dict(price_floor=float("nan")),
     ])
     def test_invalid_configs(self, kw):
         with pytest.raises(ValueError):
@@ -552,11 +554,13 @@ class TestStepLoop:
             joined = np.concatenate([getattr(head, name)[:2044], getattr(tail, name)])
             assert np.array_equal(joined, getattr(full, name)), name
 
+    @pytest.mark.parametrize("chunk", [1, 7, 700])
     @pytest.mark.parametrize("engine", sm.dynamics.ENGINES)
-    def test_blocks_join_to_run(self, tmp_path, monkeypatch, engine):
-        # 700-step blocks, audits every 300 steps and checkpoints every 500,
-        # stopping at 2900: the last checkpoint, at 2500, and most audits
-        # fall inside a block
+    def test_blocks_join_to_run(self, tmp_path, monkeypatch, engine, chunk):
+        # blocks of `chunk` steps, each also the step loop's piece, audits
+        # every 300 steps and checkpoints every 500, stopping at 2900: at
+        # 700 steps the last checkpoint, at 2500, and most audits fall
+        # inside a block
         net = sm.build_corner_lattice(8, "RT")
         wts = sm.assign_weights_uniform(net, np.random.default_rng(3))
         cfg = sm.SimConfig(total_steps=2900, transient_steps=0, seed=4)
@@ -568,11 +572,11 @@ class TestStepLoop:
         sim = sm.Simulation(net, wts, cfg, engine=engine)
         ref = sim.run(activity_f0=grid, audit_interval=300,
                       checkpoint_path=tmp_path / "run.ckpt", checkpoint_every=500)
-        monkeypatch.setattr(sm.Simulation, "CHUNK", 700)
+        monkeypatch.setattr(sm.Simulation, "CHUNK", chunk)
         sim = sm.Simulation(net, wts, cfg, engine=engine)
         assert list(sim.blocks(0, grid)) == []
         blocks = list(sim.blocks(cfg.total_steps, grid, 300, tmp_path / "blocks.ckpt", 500))
-        assert [b[0] for b in blocks] == list(range(0, 2900, 700))
+        assert [b[0] for b in blocks] == list(range(0, 2900, chunk))
         assert audited == 2 * list(range(300, 2901, 300))
         assert sm.load_checkpoint(tmp_path / "blocks.ckpt")[0] == 2500
         assert (tmp_path / "blocks.ckpt").read_bytes() == (tmp_path / "run.ckpt").read_bytes()
@@ -655,7 +659,8 @@ class TestGridCount:
     # runs on a smaller lattice, just past one block
     @pytest.mark.parametrize("renorm,L,steps", [
         ("never", 32, 2500), ("mid_block", 32, 2500), ("every_step", 16, 1100)])
-    def test_grid_equals_reference_loop(self, renorm, L, steps):
+    def test_grid_equals_reference_loop(self, monkeypatch, renorm, L, steps):
+        monkeypatch.setattr(sm.Simulation, "CHUNK", 1024)
         net, wts = rt_lattice(L)
         cfg = sm.SimConfig(total_steps=steps, transient_steps=0, seed=4, price_floor=0.4)
         if renorm == "mid_block":
@@ -669,7 +674,7 @@ class TestGridCount:
         ref, ref_p, _ = reference_loop(net, wts, cfg, "incremental", self.GRID[1], self.GRID)
         flags = np.flatnonzero(ref["renorm"])
         if renorm == "mid_block":
-            assert len(flags) == 1 and flags[0] % sm.Simulation._BLOCK > 100
+            assert len(flags) == 1 and flags[0] % sm.Simulation.CHUNK > 100
         sim = sm.Simulation(net, wts, cfg)
         assert sm.track_activity(sim, self.GRID).tolist() == ref["per_threshold"]
         assert np.array_equal(sim.engine.p, ref_p)
@@ -766,14 +771,15 @@ class TestCandidateCount:
 
     @pytest.mark.parametrize("grid", [MIXED, [0.001, 0.004, 0.3], [-0.3, -0.004], []],
                              ids=["mixed", "positive", "negative", "empty"])
-    def test_mean_price_falls_past_the_slack_within_a_block(self, grid):
+    def test_mean_price_falls_past_the_slack_within_a_block(self, monkeypatch, grid):
+        monkeypatch.setattr(sm.Simulation, "CHUNK", 1024)
         # cuts of up to 90 % move the mean price of a ring of 6 past the
         # bands' slack at almost every step, and renormalise it often
         net = sm.build_ring(6)
         wts = sm.assign_weights_uniform(net, np.random.default_rng(1))
         cfg = sm.SimConfig(total_steps=3000, transient_steps=0, seed=3, eta_max=0.9)
         rec = sm.Simulation(net, wts, cfg).run()
-        mp, block = rec.mean_price, sm.Simulation._BLOCK
+        mp, block = rec.mean_price, sm.Simulation.CHUNK
         assert np.count_nonzero(mp[1:block] < (1 - 1e-3) * mp[:block - 1]) > 500
         assert np.count_nonzero(rec.renorm_flags) > 10
         got = self.counts(net, wts, cfg, grid, "incremental")
@@ -783,7 +789,8 @@ class TestCandidateCount:
     # mean price here, so its last row holds 22 different counts
     @pytest.mark.parametrize("f0", [MIXED, -0.004, np.linspace(-0.45, 0.01, 32)],
                              ids=["grid", "scalar", "grid32"])
-    def test_renormalisation_mid_block(self, f0):
+    def test_renormalisation_mid_block(self, monkeypatch, f0):
+        monkeypatch.setattr(sm.Simulation, "CHUNK", 1024)
         net, wts = rt_lattice(16)
         cfg = sm.SimConfig(total_steps=1500, transient_steps=0, seed=4, price_floor=0.4)
         start = sm.Simulation(net, wts, cfg).engine
@@ -791,7 +798,7 @@ class TestCandidateCount:
         recs = [sm.Simulation(net, wts, cfg, engine=e).run(activity_f0=f0)
                 for e in ("incremental", "full")]
         flags = np.flatnonzero(recs[0].renorm_flags)
-        assert len(flags) == 1 and 100 < flags[0] < sm.Simulation._BLOCK
+        assert len(flags) == 1 and 100 < flags[0] < sm.Simulation.CHUNK
         assert recs[0].activity.dtype == recs[1].activity.dtype == np.int32
         assert np.array_equal(recs[0].activity, recs[1].activity)
         assert np.array_equal(recs[0].loser_index, recs[1].loser_index)

@@ -72,6 +72,13 @@ class TestProduction:
         with pytest.raises(MarketDomainError):
             sm.evaluate_market(p, net, wts)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_nonfinite_price(self, bad):
+        net, wts, p = symmetric_ring()
+        p[3] = bad
+        with pytest.raises(MarketDomainError):
+            sm.evaluate_market(p, net, wts)
+
     def test_optimum_beats_grid(self, rng):
         # the closed form must maximize the utility -q^2/2 + sum_j 2 sqrt(q_ij)
         # over a dense grid for random spending splits and price ratios
